@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstdio>
+#include <functional>
 #include <map>
 #include <set>
 
@@ -74,6 +75,229 @@ format(const char *fmt, long long a, long long b)
     return buffer;
 }
 
+/** Serving config every chaos run uses (per replica for clusters):
+ * a small batch over the KV-bound engine, tenants from @p config. */
+server::ServerConfig
+chaosServerConfig(const ChaosScriptConfig &config)
+{
+    server::ServerConfig server_config;
+    server_config.tenants = config.tenants.empty()
+                                ? defaultChaosTenants()
+                                : config.tenants;
+    server_config.max_batch = 8;
+    server_config.chunked_prefill_tokens = config.chunk_tokens;
+    if (config.prefix) {
+        server_config.enable_prefix_cache = true;
+        for (TenantConfig &tenant : server_config.tenants)
+            tenant.prefix_caching = true;
+    }
+    return server_config;
+}
+
+using FailFn = std::function<void(const std::string &)>;
+
+/** One scripted submission and the stream it returned. */
+struct Submitted {
+    const ChaosStep *step;
+    TokenStreamPtr stream;
+};
+
+/**
+ * Replays @p script through config.clients handles from @p connect
+ * (a Server or a ClusterRouter: one handle type serves both), then
+ * closes every handle. Never blocks on a stream: submissions are
+ * non-blocking and pull-mode streams buffer, so consumption waits
+ * until after the caller's drain — a mid-script blocking read could
+ * deadlock against the ingress gate (the loop may be waiting on this
+ * thread's future submissions). After every step the published
+ * virtual clock (@p clock) must not have run backwards.
+ */
+std::vector<Submitted>
+driveScript(const std::vector<ChaosStep> &script,
+            const ChaosScriptConfig &config,
+            const std::vector<TenantConfig> &tenants,
+            const std::function<Server::Client()> &connect,
+            const std::function<double()> &clock, const FailFn &fail)
+{
+    std::vector<Server::Client> clients;
+    clients.reserve(static_cast<size_t>(config.clients));
+    for (int c = 0; c < config.clients; ++c)
+        clients.push_back(connect());
+
+    std::vector<Submitted> submitted;
+    double watermark_us = 0.0;
+    for (const ChaosStep &step : script) {
+        const size_t slot = static_cast<size_t>(step.client);
+        if (slot >= clients.size()) {
+            fail("script step references an unconnected client "
+                 "slot");
+            break;
+        }
+        switch (step.kind) {
+          case ChaosStepKind::kSubmit: {
+            StreamRequest request;
+            request.id = step.id;
+            request.tenant =
+                tenants[static_cast<size_t>(step.tenant) %
+                        tenants.size()]
+                    .name;
+            request.prompt_tokens = step.prompt_tokens;
+            request.max_output_tokens = step.max_output_tokens;
+            request.eos_output_tokens = step.eos_output_tokens;
+            request.arrival_us = step.time_us;
+            request.cancel_at_us = step.cancel_at_us;
+            if (step.prompt_seed != 0) {
+                request.prompt_ids =
+                    promptFromSeed(step.prompt_seed, step.prompt_tokens);
+            }
+            submitted.push_back({&step, clients[slot].submit(request)});
+            break;
+          }
+          case ChaosStepKind::kAdvance:
+            clients[slot].advanceTo(step.time_us);
+            break;
+          case ChaosStepKind::kReconnect:
+            clients[slot].close();
+            clients[slot] = connect();
+            break;
+        }
+        // The published virtual clock must never run backwards, no
+        // matter how the loop interleaves with this thread.
+        const double clock_us = clock();
+        if (clock_us < watermark_us)
+            fail("published virtual clock ran backwards");
+        watermark_us = std::max(watermark_us, clock_us);
+    }
+    for (Server::Client &client : clients)
+        client.close();
+    return submitted;
+}
+
+/** Stream verdicts and tokens counted by auditStreams. */
+struct StreamTally {
+    int64_t tokens = 0;
+    int64_t completed = 0;
+    int64_t rejected = 0;
+    int64_t cancelled = 0;
+};
+
+/**
+ * The per-stream audit of a drained session: event shape (one
+ * terminal event, last; nondecreasing timestamps; contiguous token
+ * indices), token counts per verdict, and terminal conservation
+ * (every submission ended exactly once). Appends the canonical event
+ * log of every non-abandoned request to @p event_log.
+ */
+StreamTally
+auditStreams(const std::vector<Submitted> &submitted,
+             std::string *event_log, const FailFn &fail)
+{
+    StreamTally tally;
+    char line[96];
+    for (const Submitted &entry : submitted) {
+        const ChaosStep &step = *entry.step;
+        StreamEvent event;
+        int64_t tokens = 0;
+        double last_us = -1.0;
+        bool terminal_seen = false;
+        StreamEventKind terminal = StreamEventKind::kToken;
+        RejectReason reason = RejectReason::kNone;
+        while (entry.stream->next(&event)) {
+            if (terminal_seen) {
+                fail(format("id=%lld: event after the terminal "
+                            "event (%lld)",
+                            step.id, 0));
+                break;
+            }
+            if (event.virtual_us < last_us) {
+                fail(format("id=%lld: event timestamps ran "
+                            "backwards (%lld)",
+                            step.id, 0));
+            }
+            last_us = event.virtual_us;
+            if (event.kind == StreamEventKind::kToken) {
+                if (event.token_index != tokens) {
+                    fail(format("id=%lld: token indices not "
+                                "contiguous at %lld",
+                                step.id, tokens));
+                }
+                ++tokens;
+                if (!step.abandon) {
+                    std::snprintf(line, sizeof(line),
+                                  "id=%lld token %lld t=%.6f\n",
+                                  static_cast<long long>(step.id),
+                                  static_cast<long long>(
+                                      event.token_index),
+                                  event.virtual_us);
+                    *event_log += line;
+                }
+            } else {
+                terminal_seen = true;
+                terminal = event.kind;
+                reason = event.reject_reason;
+                if (!step.abandon) {
+                    std::snprintf(
+                        line, sizeof(line),
+                        "id=%lld %s reason=%s t=%.6f\n",
+                        static_cast<long long>(step.id),
+                        server::streamEventKindName(event.kind),
+                        server::rejectReasonName(event.reject_reason),
+                        event.virtual_us);
+                    *event_log += line;
+                }
+            }
+        }
+        if (!terminal_seen) {
+            fail(format("id=%lld: stream ended with no terminal "
+                        "event (%lld tokens)",
+                        step.id, tokens));
+            continue;
+        }
+        tally.tokens += tokens;
+        switch (terminal) {
+          case StreamEventKind::kFinished:
+            ++tally.completed;
+            if (tokens != stopTokens(step)) {
+                fail(format("id=%lld: finished with the wrong "
+                            "token count %lld",
+                            step.id, tokens));
+            }
+            break;
+          case StreamEventKind::kRejected:
+            ++tally.rejected;
+            if (tokens != 0) {
+                fail(format("id=%lld: rejected after streaming "
+                            "%lld tokens",
+                            step.id, tokens));
+            }
+            if (reason == RejectReason::kNone)
+                fail(format("id=%lld: rejected with no reason (%lld)",
+                            step.id, 0));
+            break;
+          case StreamEventKind::kCancelled:
+            ++tally.cancelled;
+            if (tokens > stopTokens(step)) {
+                fail(format("id=%lld: cancelled after streaming "
+                            "past its stop length (%lld)",
+                            step.id, tokens));
+            }
+            break;
+          default:
+            fail(format("id=%lld: impossible terminal kind (%lld)",
+                        step.id, 0));
+            break;
+        }
+    }
+    const auto total = static_cast<int64_t>(submitted.size());
+    if (tally.completed + tally.rejected + tally.cancelled != total) {
+        fail(format("terminal conservation: %lld terminals for %lld "
+                    "submissions",
+                    tally.completed + tally.rejected + tally.cancelled,
+                    total));
+    }
+    return tally;
+}
+
 } // namespace
 
 void
@@ -134,7 +358,7 @@ runChaosScript(const std::vector<ChaosStep> &script,
                const ChaosFaultConfig *faults)
 {
     ChaosRunResult result;
-    const auto fail = [&result](const std::string &message) {
+    const FailFn fail = [&result](const std::string &message) {
         if (result.ok) {
             result.ok = false;
             result.failure = message;
@@ -146,198 +370,24 @@ runChaosScript(const std::vector<ChaosStep> &script,
         armChaosFaults(*faults);
 
     const ServingEngine engine(chaosEngineConfig(config.tp_degree));
-    server::ServerConfig server_config;
-    server_config.tenants = config.tenants.empty()
-                                ? defaultChaosTenants()
-                                : config.tenants;
-    server_config.max_batch = 8;
-    server_config.chunked_prefill_tokens = config.chunk_tokens;
-    if (config.prefix) {
-        server_config.enable_prefix_cache = true;
-        for (TenantConfig &tenant : server_config.tenants)
-            tenant.prefix_caching = true;
-    }
     {
-        Server server(&engine, server_config);
-        std::vector<Server::Client> clients;
-        clients.reserve(static_cast<size_t>(config.clients));
-        for (int c = 0; c < config.clients; ++c)
-            clients.push_back(server.connect());
-
-        // Drive the whole script without ever blocking on a stream:
-        // submissions are non-blocking, and pull-mode streams buffer,
-        // so consumption can wait until after drain — a mid-script
-        // blocking read could deadlock against the ingress gate
-        // (the loop may be waiting on this thread's future
-        // submissions).
-        struct Submitted {
-            const ChaosStep *step;
-            TokenStreamPtr stream;
-        };
-        std::vector<Submitted> submitted;
-        double watermark_us = 0.0;
-        for (const ChaosStep &step : script) {
-            const size_t slot = static_cast<size_t>(step.client);
-            if (slot >= clients.size()) {
-                fail("script step references an unconnected client "
-                     "slot");
-                break;
-            }
-            switch (step.kind) {
-              case ChaosStepKind::kSubmit: {
-                StreamRequest request;
-                request.id = step.id;
-                request.tenant =
-                    server_config
-                        .tenants[static_cast<size_t>(step.tenant) %
-                                 server_config.tenants.size()]
-                        .name;
-                request.prompt_tokens = step.prompt_tokens;
-                request.max_output_tokens = step.max_output_tokens;
-                request.eos_output_tokens = step.eos_output_tokens;
-                request.arrival_us = step.time_us;
-                request.cancel_at_us = step.cancel_at_us;
-                if (step.prompt_seed != 0) {
-                    request.prompt_ids = promptFromSeed(
-                        step.prompt_seed, step.prompt_tokens);
-                }
-                submitted.push_back(
-                    {&step, clients[slot].submit(request)});
-                break;
-              }
-              case ChaosStepKind::kAdvance:
-                clients[slot].advanceTo(step.time_us);
-                break;
-              case ChaosStepKind::kReconnect:
-                clients[slot].close();
-                clients[slot] = server.connect();
-                break;
-            }
-            // The published virtual clock must never run backwards,
-            // no matter how the loop interleaves with this thread.
-            const double clock_us = server.virtualClockUs();
-            if (clock_us < watermark_us)
-                fail("published virtual clock ran backwards");
-            watermark_us = std::max(watermark_us, clock_us);
-        }
-        for (Server::Client &client : clients)
-            client.close();
+        Server server(&engine, chaosServerConfig(config));
+        const std::vector<Submitted> submitted = driveScript(
+            script, config, server.tenants(),
+            [&server] { return server.connect(); },
+            [&server] { return server.virtualClockUs(); }, fail);
         server.drain();
         result.stats = server.stats();
-
-        // ---- Post-drain audit ----
-        int64_t delivered_tokens = 0;
-        int64_t completed = 0;
-        int64_t rejected = 0;
-        int64_t cancelled = 0;
-        char line[96];
-        for (const Submitted &entry : submitted) {
-            const ChaosStep &step = *entry.step;
-            StreamEvent event;
-            int64_t tokens = 0;
-            double last_us = -1.0;
-            bool terminal_seen = false;
-            StreamEventKind terminal = StreamEventKind::kToken;
-            RejectReason reason = RejectReason::kNone;
-            while (entry.stream->next(&event)) {
-                if (terminal_seen) {
-                    fail(format("id=%lld: event after the terminal "
-                                "event (%lld)",
-                                step.id, 0));
-                    break;
-                }
-                if (event.virtual_us < last_us) {
-                    fail(format("id=%lld: event timestamps ran "
-                                "backwards (%lld)",
-                                step.id, 0));
-                }
-                last_us = event.virtual_us;
-                if (event.kind == StreamEventKind::kToken) {
-                    if (event.token_index != tokens) {
-                        fail(format("id=%lld: token indices not "
-                                    "contiguous at %lld",
-                                    step.id, tokens));
-                    }
-                    ++tokens;
-                    if (!step.abandon) {
-                        std::snprintf(line, sizeof(line),
-                                      "id=%lld token %lld t=%.6f\n",
-                                      static_cast<long long>(step.id),
-                                      static_cast<long long>(
-                                          event.token_index),
-                                      event.virtual_us);
-                        result.event_log += line;
-                    }
-                } else {
-                    terminal_seen = true;
-                    terminal = event.kind;
-                    reason = event.reject_reason;
-                    if (!step.abandon) {
-                        std::snprintf(
-                            line, sizeof(line),
-                            "id=%lld %s reason=%s t=%.6f\n",
-                            static_cast<long long>(step.id),
-                            server::streamEventKindName(event.kind),
-                            server::rejectReasonName(
-                                event.reject_reason),
-                            event.virtual_us);
-                        result.event_log += line;
-                    }
-                }
-            }
-            if (!terminal_seen) {
-                fail(format("id=%lld: stream ended with no terminal "
-                            "event (%lld tokens)",
-                            step.id, tokens));
-                continue;
-            }
-            delivered_tokens += tokens;
-            switch (terminal) {
-              case StreamEventKind::kFinished:
-                ++completed;
-                if (tokens != stopTokens(step)) {
-                    fail(format("id=%lld: finished with the wrong "
-                                "token count %lld",
-                                step.id, tokens));
-                }
-                break;
-              case StreamEventKind::kRejected:
-                ++rejected;
-                if (tokens != 0) {
-                    fail(format("id=%lld: rejected after streaming "
-                                "%lld tokens",
-                                step.id, tokens));
-                }
-                if (reason == RejectReason::kNone)
-                    fail(format("id=%lld: rejected with no reason "
-                                "(%lld)",
-                                step.id, 0));
-                break;
-              case StreamEventKind::kCancelled:
-                ++cancelled;
-                if (tokens > stopTokens(step)) {
-                    fail(format("id=%lld: cancelled after streaming "
-                                "past its stop length (%lld)",
-                                step.id, tokens));
-                }
-                break;
-              default:
-                fail(format("id=%lld: impossible terminal kind "
-                            "(%lld)",
-                            step.id, 0));
-                break;
-            }
-        }
+        const StreamTally tally =
+            auditStreams(submitted, &result.event_log, fail);
 
         // Token conservation and exact terminal accounting against
-        // the server's own counters: every submitted stream ended
-        // exactly once, and every token the loop counted as streamed
-        // is sitting in exactly one stream.
-        if (delivered_tokens != result.stats.streamed_tokens) {
+        // the server's own counters: every token the loop counted as
+        // streamed is sitting in exactly one stream.
+        if (tally.tokens != result.stats.streamed_tokens) {
             fail(format("token conservation: streams hold %lld "
                         "tokens, the server streamed %lld",
-                        delivered_tokens,
-                        result.stats.streamed_tokens));
+                        tally.tokens, result.stats.streamed_tokens));
         }
         if (result.stats.submitted !=
             static_cast<int64_t>(submitted.size())) {
@@ -345,18 +395,11 @@ runChaosScript(const std::vector<ChaosStep> &script,
                         result.stats.submitted,
                         static_cast<int64_t>(submitted.size())));
         }
-        if (completed != result.stats.completed ||
-            rejected != result.stats.rejected ||
-            cancelled != result.stats.cancelled) {
+        if (tally.completed != result.stats.completed ||
+            tally.rejected != result.stats.rejected ||
+            tally.cancelled != result.stats.cancelled) {
             fail("terminal accounting: stream verdicts disagree "
                  "with ServerStats");
-        }
-        if (completed + rejected + cancelled !=
-            static_cast<int64_t>(submitted.size())) {
-            fail(format("terminal conservation: %lld terminals for "
-                        "%lld submissions",
-                        completed + rejected + cancelled,
-                        static_cast<int64_t>(submitted.size())));
         }
 
         // Zero-leak drain: the KV pool is fully free again.
@@ -380,7 +423,7 @@ runClusterChaosScript(const std::vector<ChaosStep> &script,
 {
     COMET_CHECK(replicas > 0);
     ClusterChaosRunResult result;
-    const auto fail = [&result](const std::string &message) {
+    const FailFn fail = [&result](const std::string &message) {
         if (result.ok) {
             result.ok = false;
             result.failure = message;
@@ -429,78 +472,13 @@ runClusterChaosScript(const std::vector<ChaosStep> &script,
         cluster_config.replicas.push_back(spec);
     }
     cluster_config.policy = policy;
-    cluster_config.server.tenants = config.tenants.empty()
-                                        ? defaultChaosTenants()
-                                        : config.tenants;
-    cluster_config.server.max_batch = 8;
-    cluster_config.server.chunked_prefill_tokens =
-        config.chunk_tokens;
-    if (config.prefix) {
-        cluster_config.server.enable_prefix_cache = true;
-        for (TenantConfig &tenant : cluster_config.server.tenants)
-            tenant.prefix_caching = true;
-    }
+    cluster_config.server = chaosServerConfig(config);
     {
         cluster::ClusterRouter router(cluster_config);
-        std::vector<cluster::ClusterRouter::Client> clients;
-        clients.reserve(static_cast<size_t>(config.clients));
-        for (int c = 0; c < config.clients; ++c)
-            clients.push_back(router.connect());
-
-        // Same non-blocking drive as the single-server runner: never
-        // read a stream before drain, or the read could deadlock
-        // against the cluster ingress gate.
-        struct Submitted {
-            const ChaosStep *step;
-            TokenStreamPtr stream;
-        };
-        std::vector<Submitted> submitted;
-        double watermark_us = 0.0;
-        for (const ChaosStep &step : script) {
-            const size_t slot = static_cast<size_t>(step.client);
-            if (slot >= clients.size()) {
-                fail("script step references an unconnected client "
-                     "slot");
-                break;
-            }
-            switch (step.kind) {
-              case ChaosStepKind::kSubmit: {
-                StreamRequest request;
-                request.id = step.id;
-                request.tenant =
-                    cluster_config.server
-                        .tenants[static_cast<size_t>(step.tenant) %
-                                 cluster_config.server.tenants
-                                     .size()]
-                        .name;
-                request.prompt_tokens = step.prompt_tokens;
-                request.max_output_tokens = step.max_output_tokens;
-                request.eos_output_tokens = step.eos_output_tokens;
-                request.arrival_us = step.time_us;
-                request.cancel_at_us = step.cancel_at_us;
-                if (step.prompt_seed != 0) {
-                    request.prompt_ids = promptFromSeed(
-                        step.prompt_seed, step.prompt_tokens);
-                }
-                submitted.push_back(
-                    {&step, clients[slot].submit(request)});
-                break;
-              }
-              case ChaosStepKind::kAdvance:
-                clients[slot].advanceTo(step.time_us);
-                break;
-              case ChaosStepKind::kReconnect:
-                clients[slot].close();
-                clients[slot] = router.connect();
-                break;
-            }
-            const double clock_us = router.virtualClockUs();
-            if (clock_us < watermark_us)
-                fail("published cluster clock ran backwards");
-            watermark_us = std::max(watermark_us, clock_us);
-        }
-        for (cluster::ClusterRouter::Client &client : clients)
-            client.close();
+        const std::vector<Submitted> submitted = driveScript(
+            script, config, router.tenants(),
+            [&router] { return router.connect(); },
+            [&router] { return router.virtualClockUs(); }, fail);
         router.drain();
         result.cluster_stats = router.stats();
         int64_t replica_rejected = 0;
@@ -513,121 +491,17 @@ runClusterChaosScript(const std::vector<ChaosStep> &script,
             replica_rejected += stats.rejected;
             replica_cancelled += stats.cancelled;
         }
-
-        // ---- Post-drain audit (per-stream checks identical to the
-        // single-server runner) ----
-        int64_t delivered_tokens = 0;
-        int64_t completed = 0;
-        int64_t rejected = 0;
-        int64_t cancelled = 0;
-        char line[96];
-        for (const Submitted &entry : submitted) {
-            const ChaosStep &step = *entry.step;
-            StreamEvent event;
-            int64_t tokens = 0;
-            double last_us = -1.0;
-            bool terminal_seen = false;
-            StreamEventKind terminal = StreamEventKind::kToken;
-            RejectReason reason = RejectReason::kNone;
-            while (entry.stream->next(&event)) {
-                if (terminal_seen) {
-                    fail(format("id=%lld: event after the terminal "
-                                "event (%lld)",
-                                step.id, 0));
-                    break;
-                }
-                if (event.virtual_us < last_us) {
-                    fail(format("id=%lld: event timestamps ran "
-                                "backwards (%lld)",
-                                step.id, 0));
-                }
-                last_us = event.virtual_us;
-                if (event.kind == StreamEventKind::kToken) {
-                    if (event.token_index != tokens) {
-                        fail(format("id=%lld: token indices not "
-                                    "contiguous at %lld",
-                                    step.id, tokens));
-                    }
-                    ++tokens;
-                    if (!step.abandon) {
-                        std::snprintf(line, sizeof(line),
-                                      "id=%lld token %lld t=%.6f\n",
-                                      static_cast<long long>(step.id),
-                                      static_cast<long long>(
-                                          event.token_index),
-                                      event.virtual_us);
-                        result.event_log += line;
-                    }
-                } else {
-                    terminal_seen = true;
-                    terminal = event.kind;
-                    reason = event.reject_reason;
-                    if (!step.abandon) {
-                        std::snprintf(
-                            line, sizeof(line),
-                            "id=%lld %s reason=%s t=%.6f\n",
-                            static_cast<long long>(step.id),
-                            server::streamEventKindName(event.kind),
-                            server::rejectReasonName(
-                                event.reject_reason),
-                            event.virtual_us);
-                        result.event_log += line;
-                    }
-                }
-            }
-            if (!terminal_seen) {
-                fail(format("id=%lld: stream ended with no terminal "
-                            "event (%lld tokens)",
-                            step.id, tokens));
-                continue;
-            }
-            delivered_tokens += tokens;
-            switch (terminal) {
-              case StreamEventKind::kFinished:
-                ++completed;
-                if (tokens != stopTokens(step)) {
-                    fail(format("id=%lld: finished with the wrong "
-                                "token count %lld",
-                                step.id, tokens));
-                }
-                break;
-              case StreamEventKind::kRejected:
-                ++rejected;
-                if (tokens != 0) {
-                    fail(format("id=%lld: rejected after streaming "
-                                "%lld tokens",
-                                step.id, tokens));
-                }
-                if (reason == RejectReason::kNone)
-                    fail(format("id=%lld: rejected with no reason "
-                                "(%lld)",
-                                step.id, 0));
-                break;
-              case StreamEventKind::kCancelled:
-                ++cancelled;
-                if (tokens > stopTokens(step)) {
-                    fail(format("id=%lld: cancelled after streaming "
-                                "past its stop length (%lld)",
-                                step.id, tokens));
-                }
-                break;
-              default:
-                fail(format("id=%lld: impossible terminal kind "
-                            "(%lld)",
-                            step.id, 0));
-                break;
-            }
-        }
+        const StreamTally tally =
+            auditStreams(submitted, &result.event_log, fail);
 
         // Cluster token conservation: every token a replica counted
         // as streamed is sitting in exactly one cluster stream (the
         // drain audit that proves a mid-workload drain dropped
         // nothing).
-        if (delivered_tokens != result.replica_streamed_tokens) {
+        if (tally.tokens != result.replica_streamed_tokens) {
             fail(format("cluster token conservation: streams hold "
                         "%lld tokens, replicas streamed %lld",
-                        delivered_tokens,
-                        result.replica_streamed_tokens));
+                        tally.tokens, result.replica_streamed_tokens));
         }
         const cluster::ClusterStats &cs = result.cluster_stats;
         if (cs.submitted !=
@@ -654,18 +528,11 @@ runClusterChaosScript(const std::vector<ChaosStep> &script,
         }
         // Terminal accounting across layers: replica verdicts plus
         // edge verdicts equal the stream verdicts exactly.
-        if (completed != result.replica_completed ||
-            rejected != replica_rejected + cs.rejected ||
-            cancelled != replica_cancelled + cs.cancelled) {
+        if (tally.completed != result.replica_completed ||
+            tally.rejected != replica_rejected + cs.rejected ||
+            tally.cancelled != replica_cancelled + cs.cancelled) {
             fail("cluster terminal accounting: stream verdicts "
                  "disagree with replica + edge counters");
-        }
-        if (completed + rejected + cancelled !=
-            static_cast<int64_t>(submitted.size())) {
-            fail(format("cluster terminal conservation: %lld "
-                        "terminals for %lld submissions",
-                        completed + rejected + cancelled,
-                        static_cast<int64_t>(submitted.size())));
         }
 
         // Zero-leak drain on every replica.

@@ -1,7 +1,6 @@
 #include "comet/cluster/router.h"
 
 #include <algorithm>
-#include <condition_variable>
 #include <limits>
 #include <mutex>
 #include <utility>
@@ -97,45 +96,6 @@ validateClusterConfig(const ClusterConfig &config)
     return Status::ok();
 }
 
-/** Ingress state shared between cluster client threads and the
- * routing loop; the same single-mutex pattern Server::Wake uses. */
-struct ClusterRouter::Wake {
-    std::mutex mutex;
-    /** The loop waits here (for work, horizons, pokes, drains). */
-    std::condition_variable cv;
-    /** drain()/stop() callers wait here for session completion. */
-    std::condition_variable done_cv;
-    /** Submitted requests the loop has not picked up yet. */
-    std::vector<RouteRecord> inbox;
-    /** Wall-clock drain requests the loop has not picked up yet. */
-    std::vector<int> drain_inbox;
-    /** Per-cluster-client ingress horizons. */
-    std::vector<double> horizons;
-    bool draining = false;         ///< cluster ingress closed
-    bool stop_requested = false;   ///< loop asked to exit
-    bool cancel_on_stop = false;   ///< stop cancels in-flight work
-    bool poked = false;            ///< a stream requested cancel
-    bool session_complete = false; ///< all accepted work terminal
-    /** The ingress floor last forwarded to the replica handles: no
-     * future cluster submission is below it. New clients start here
-     * (not at the clock), so a late connect can never invalidate the
-     * promise already made to the replicas. */
-    double propagated_us = 0.0;
-    /** True once any client connected. Until then the joint client
-     * horizon is vacuously infinite, and propagating it would close
-     * the replicas' ingress before the session even starts — the
-     * loop thread races the first connect(), so it must treat the
-     * empty client set as "not yet", never as "all closed". */
-    bool ever_connected = false;
-    int64_t submitted = 0;      ///< submit() calls (any verdict)
-    int64_t early_rejected = 0; ///< rejected on the submit path
-    // Published snapshots (the loop owns the live state).
-    ClusterStats stats;
-    double clock_us = 0.0;
-    /** id -> replica, recorded at placement time. */
-    std::map<int64_t, int> placements;
-};
-
 ClusterRouter::ClusterRouter(ClusterConfig config)
     : config_(std::move(config))
 {
@@ -177,7 +137,6 @@ ClusterRouter::ClusterRouter(ClusterConfig config)
         handles_.push_back(servers_[i]->connect());
     replica_active_.assign(n, true);
     reserved_blocks_.assign(n, 0);
-    last_forward_us_.assign(n, 0.0);
     stats_.routed_per_replica.assign(n, 0);
 
     // The edge queue re-uses the per-replica fairness machinery with
@@ -202,8 +161,9 @@ ClusterRouter::ClusterRouter(ClusterConfig config)
         drain_order_.insert({drain.at_us, drain.replica});
     }
 
-    wake_ = std::make_shared<Wake>();
-    wake_->stats = stats_;
+    gate_ = std::make_shared<server::VirtualIngressGate>(
+        config_.server.tenants, "cluster");
+    published_stats_ = stats_;
     loop_thread_ = std::thread(&ClusterRouter::loop, this);
 }
 
@@ -212,152 +172,19 @@ ClusterRouter::~ClusterRouter() { stop(true); }
 ClusterRouter::Client
 ClusterRouter::connect()
 {
-    Client client;
-    client.router_ = this;
-    std::lock_guard<std::mutex> lock(wake_->mutex);
-    COMET_CHECK_MSG(!wake_->draining,
-                    "connect() on a draining/stopped cluster");
-    client.index_ = wake_->horizons.size();
-    // Start at the propagated ingress floor (>= the clock): the
-    // router has already promised its replicas no submission below
-    // it, and this handle must keep that promise.
-    wake_->horizons.push_back(
-        std::max(wake_->clock_us, wake_->propagated_us));
-    wake_->ever_connected = true;
-    return client;
-}
-
-server::TokenStreamPtr
-ClusterRouter::Client::submit(const server::StreamRequest &request)
-{
-    COMET_CHECK_MSG(valid(), "submit() on an unconnected handle");
-    return router_->submitFromClient(index_, request);
-}
-
-void
-ClusterRouter::Client::advanceTo(double horizon_us)
-{
-    COMET_CHECK_MSG(valid(), "advanceTo() on an unconnected handle");
-    router_->advanceClient(index_, horizon_us, /*close=*/false);
-}
-
-void
-ClusterRouter::Client::close()
-{
-    COMET_CHECK_MSG(valid(), "close() on an unconnected handle");
-    router_->advanceClient(index_, kInfinity, /*close=*/true);
-}
-
-server::TokenStreamPtr
-ClusterRouter::submitFromClient(size_t client,
-                                const server::StreamRequest &request)
-{
-    COMET_CHECK(request.id >= 0);
-    COMET_CHECK(request.prompt_tokens > 0);
-    COMET_CHECK(request.max_output_tokens > 0);
-    COMET_CHECK(request.eos_output_tokens >= 0);
-    COMET_CHECK(request.arrival_us >= 0.0);
-    COMET_CHECK_MSG(request.cancel_at_us == 0.0 ||
-                        request.cancel_at_us >= request.arrival_us,
-                    "cancel_at_us must be 0 or >= arrival_us");
-
-    server::TokenStreamPtr stream =
-        request.callback
-            ? std::make_shared<server::TokenStream>(request.callback)
-            : std::make_shared<server::TokenStream>();
-    // Until the request is routed, a cancellation pokes the router;
-    // forwardToReplica re-points the poke at the replica stream.
-    std::weak_ptr<Wake> weak = wake_;
-    stream->setCancelPoke([weak] {
-        if (std::shared_ptr<Wake> wake = weak.lock()) {
-            std::lock_guard<std::mutex> lock(wake->mutex);
-            wake->poked = true;
-            wake->cv.notify_all();
-        }
-    });
-
-    server::RejectReason early = server::RejectReason::kNone;
-    double reject_clock_us = 0.0;
-    {
-        std::lock_guard<std::mutex> lock(wake_->mutex);
-        ++wake_->submitted;
-        clusterCounter("submitted").add();
-        COMET_CHECK(client < wake_->horizons.size());
-        double &horizon = wake_->horizons[client];
-        if (wake_->draining || horizon == kInfinity) {
-            early = server::RejectReason::kShuttingDown;
-        } else if (tenantIndexByName(request.tenant) < 0) {
-            early = server::RejectReason::kUnknownTenant;
-        } else {
-            COMET_CHECK_MSG(
-                request.arrival_us >= horizon,
-                "arrival times must be nondecreasing per client");
-            horizon = request.arrival_us;
-            RouteRecord record;
-            record.request = request;
-            record.request.callback = nullptr;
-            record.stream = stream;
-            record.tenant = tenantIndexByName(request.tenant);
-            wake_->inbox.push_back(std::move(record));
-            wake_->cv.notify_all();
-        }
-        if (early != server::RejectReason::kNone) {
-            ++wake_->early_rejected;
-            clusterCounter("rejected").add();
-            reject_clock_us = wake_->clock_us;
-        }
-    }
-    if (early != server::RejectReason::kNone) {
-        server::StreamEvent event;
-        event.kind = server::StreamEventKind::kRejected;
-        event.virtual_us = reject_clock_us;
-        event.reject_reason = early;
-        stream->deliver(event);
-    }
-    return stream;
-}
-
-int
-ClusterRouter::tenantIndexByName(const std::string &name) const
-{
-    for (size_t i = 0; i < config_.server.tenants.size(); ++i) {
-        if (config_.server.tenants[i].name == name)
-            return static_cast<int>(i);
-    }
-    return -1;
-}
-
-void
-ClusterRouter::advanceClient(size_t client, double horizon_us,
-                             bool close)
-{
-    std::lock_guard<std::mutex> lock(wake_->mutex);
-    COMET_CHECK(client < wake_->horizons.size());
-    double &horizon = wake_->horizons[client];
-    horizon = std::max(horizon, close ? kInfinity : horizon_us);
-    wake_->cv.notify_all();
+    return gate_->connect();
 }
 
 void
 ClusterRouter::drain()
 {
-    std::unique_lock<std::mutex> lock(wake_->mutex);
-    wake_->draining = true;
-    wake_->cv.notify_all();
-    wake_->done_cv.wait(lock,
-                        [&] { return wake_->session_complete; });
+    gate_->drain();
 }
 
 void
 ClusterRouter::stop(bool cancel_in_flight)
 {
-    {
-        std::lock_guard<std::mutex> lock(wake_->mutex);
-        wake_->draining = true;
-        wake_->stop_requested = true;
-        wake_->cancel_on_stop |= cancel_in_flight;
-        wake_->cv.notify_all();
-    }
+    gate_->requestStop(cancel_in_flight);
     std::lock_guard<std::mutex> join_lock(join_mutex_);
     if (loop_thread_.joinable())
         loop_thread_.join();
@@ -367,18 +194,24 @@ void
 ClusterRouter::requestDrain(int replica)
 {
     COMET_CHECK(replica >= 0 && replica < numReplicas());
-    std::lock_guard<std::mutex> lock(wake_->mutex);
-    wake_->drain_inbox.push_back(replica);
-    wake_->cv.notify_all();
+    {
+        std::lock_guard<std::mutex> lock(drain_mutex_);
+        drain_requests_.push_back(replica);
+    }
+    gate_->poke();
 }
 
 ClusterStats
 ClusterRouter::stats() const
 {
-    std::lock_guard<std::mutex> lock(wake_->mutex);
-    ClusterStats stats = wake_->stats;
-    stats.submitted = wake_->submitted;
-    stats.rejected += wake_->early_rejected;
+    ClusterStats stats;
+    {
+        std::lock_guard<std::mutex> lock(published_mutex_);
+        stats = published_stats_;
+    }
+    const server::VirtualIngressGate::Counts counts = gate_->counts();
+    stats.submitted = counts.submitted;
+    stats.rejected += counts.early_rejected;
     return stats;
 }
 
@@ -413,8 +246,7 @@ ClusterRouter::replicaKvCacheForAudit(int replica) const
 double
 ClusterRouter::virtualClockUs() const
 {
-    std::lock_guard<std::mutex> lock(wake_->mutex);
-    return wake_->clock_us;
+    return gate_->clockUs();
 }
 
 double
@@ -427,9 +259,9 @@ ClusterRouter::replicaVirtualClockUs(int replica) const
 int
 ClusterRouter::placementOf(int64_t id) const
 {
-    std::lock_guard<std::mutex> lock(wake_->mutex);
-    auto it = wake_->placements.find(id);
-    return it == wake_->placements.end() ? -1 : it->second;
+    std::lock_guard<std::mutex> lock(published_mutex_);
+    auto it = placements_.find(id);
+    return it == placements_.end() ? -1 : it->second;
 }
 
 const std::vector<server::TenantConfig> &
@@ -448,40 +280,21 @@ ClusterRouter::loop()
     obs::configureFromEnv();
     COMET_SPAN("cluster/session");
     for (;;) {
-        bool stop_now = false;
-        bool cancel_now = false;
-        bool drain_now = false;
-        std::vector<RouteRecord> incoming;
+        // wake_on_floor: a client horizon moved past what the
+        // replicas were promised; propagate it, or a fully routed
+        // session would leave the replicas gated forever.
+        server::VirtualIngressGate::Wakeup wakeup =
+            gate_->awaitWork(!routerIdle(), /*wake_on_floor=*/true);
         std::vector<int> drain_requests;
         {
-            std::unique_lock<std::mutex> lock(wake_->mutex);
-            wake_->cv.wait(lock, [&] {
-                return wake_->stop_requested || wake_->poked ||
-                       !wake_->inbox.empty() ||
-                       !wake_->drain_inbox.empty() || !routerIdle() ||
-                       (wake_->draining &&
-                        !wake_->session_complete) ||
-                       // A client horizon moved past what the
-                       // replicas were promised: wake to propagate,
-                       // or a fully-routed session would leave the
-                       // replicas gated forever. Gated on
-                       // ever_connected: before the first connect
-                       // the joint horizon is vacuously infinite.
-                       (wake_->ever_connected &&
-                        minHorizonLocked() > wake_->propagated_us);
-            });
-            incoming.swap(wake_->inbox);
-            drain_requests.swap(wake_->drain_inbox);
-            wake_->poked = false;
-            stop_now = wake_->stop_requested;
-            cancel_now = wake_->cancel_on_stop;
-            drain_now = wake_->draining;
+            std::lock_guard<std::mutex> lock(drain_mutex_);
+            drain_requests.swap(drain_requests_);
         }
-        for (RouteRecord &record : incoming)
+        for (server::IngressRecord &record : wakeup.incoming)
             acceptSubmit(std::move(record));
         for (int replica : drain_requests)
             drainReplica(replica);
-        if (stop_now && cancel_now) {
+        if (wakeup.stop && wakeup.cancel) {
             cancelUnrouted();
             stopReplicas(true);
             publish(/*complete=*/true);
@@ -499,11 +312,11 @@ ClusterRouter::loop()
             publish(/*complete=*/false);
             continue;
         }
-        if (drain_now || stop_now) {
+        if (wakeup.drain) {
             completeSession();
             publish(/*complete=*/true);
-            if (stop_now) {
-                stopReplicas(cancel_now);
+            if (wakeup.stop) {
+                stopReplicas(wakeup.cancel);
                 return;
             }
             continue;
@@ -513,57 +326,13 @@ ClusterRouter::loop()
 }
 
 void
-ClusterRouter::acceptSubmit(RouteRecord &&record)
+ClusterRouter::acceptSubmit(server::IngressRecord &&record)
 {
     const int64_t id = record.request.id;
     COMET_CHECK_MSG(pending_.find(id) == pending_.end(),
                     "request ids must be unique per session");
     pending_order_.insert({record.request.arrival_us, id});
     pending_.emplace(id, std::move(record));
-}
-
-double
-ClusterRouter::minHorizonLocked() const
-{
-    double floor = kInfinity;
-    for (double horizon : wake_->horizons)
-        floor = std::min(floor, horizon);
-    return floor;
-}
-
-double
-ClusterRouter::safeHorizonLocked() const
-{
-    if (!config_.server.deterministic_ingress || wake_->draining)
-        return kInfinity;
-    return minHorizonLocked();
-}
-
-ClusterRouter::GateOutcome
-ClusterRouter::waitToAdvance(double target_us)
-{
-    if (!config_.server.deterministic_ingress)
-        return GateOutcome::kAdvance;
-    std::unique_lock<std::mutex> lock(wake_->mutex);
-    wake_->cv.wait(lock, [&] {
-        return (wake_->stop_requested && wake_->cancel_on_stop) ||
-               wake_->poked || !wake_->inbox.empty() ||
-               !wake_->drain_inbox.empty() ||
-               safeHorizonLocked() > target_us;
-    });
-    if (wake_->stop_requested && wake_->cancel_on_stop)
-        return GateOutcome::kInterrupted;
-    if (wake_->poked || !wake_->inbox.empty() ||
-        !wake_->drain_inbox.empty())
-        return GateOutcome::kReplan;
-    return GateOutcome::kAdvance;
-}
-
-void
-ClusterRouter::publishClock()
-{
-    std::lock_guard<std::mutex> lock(wake_->mutex);
-    wake_->clock_us = clock_;
 }
 
 bool
@@ -579,14 +348,14 @@ ClusterRouter::stepOnce()
     if (target == kInfinity)
         return true;
     if (target > clock_) {
-        switch (waitToAdvance(target)) {
-          case GateOutcome::kInterrupted:
+        switch (gate_->waitToAdvance(target, /*replan=*/true)) {
+          case server::GateOutcome::kInterrupted:
             return false;
-          case GateOutcome::kReplan:
+          case server::GateOutcome::kReplan:
             return true; // the outer loop re-enters stepOnce
-          case GateOutcome::kAdvance:
+          case server::GateOutcome::kAdvance:
             clock_ = target;
-            publishClock();
+            gate_->publish(clock_, /*complete=*/false);
             break;
         }
     }
@@ -648,31 +417,19 @@ void
 ClusterRouter::propagateHorizons()
 {
     // The cluster ingress floor: no future forward can be below the
-    // least client horizon, nor below the earliest already-accepted
+    // gate's floor (open client horizons and submissions still in its
+    // inbox, read under one lock), nor below the earliest accepted
     // arrival still waiting to route. Replicas may advance their
     // clocks up to it — this is what lets them finish the final
-    // batch (floor becomes infinity once every client closed and
+    // batch (the floor becomes infinity once every client closed and
     // everything routed) instead of idling at the last event time.
-    double floor;
-    {
-        std::lock_guard<std::mutex> lock(wake_->mutex);
-        // Racing the first connect(): an empty client set means the
-        // session has not started, not that every client closed —
-        // propagating its vacuous infinity would reject the whole
-        // workload as shutting-down.
-        if (!wake_->ever_connected)
-            return;
-        floor = minHorizonLocked();
-    }
+    double floor = gate_->floor();
     if (!pending_order_.empty())
         floor = std::min(floor, pending_order_.begin()->first);
-    if (floor <= propagated_us_)
+    // Promise first: a client connecting from here on starts at the
+    // new floor, so it cannot break what the replicas are told next.
+    if (!gate_->promiseFloor(floor))
         return;
-    propagated_us_ = floor;
-    {
-        std::lock_guard<std::mutex> lock(wake_->mutex);
-        wake_->propagated_us = floor;
-    }
     for (size_t i = 0; i < handles_.size(); ++i) {
         if (replica_active_[i])
             handles_[i].advanceTo(floor);
@@ -748,7 +505,7 @@ ClusterRouter::routeArrivalsAt(double now_us)
     for (int64_t id : batch) {
         auto it = pending_.find(id);
         COMET_CHECK(it != pending_.end());
-        const RouteRecord &record = it->second;
+        const server::IngressRecord &record = it->second;
         server::PendingRequest pending;
         pending.id = id;
         pending.tenant = record.tenant;
@@ -782,7 +539,7 @@ ClusterRouter::placeRequest(int64_t id)
     COMET_SPAN("cluster/route");
     auto it = pending_.find(id);
     COMET_CHECK(it != pending_.end());
-    RouteRecord record = std::move(it->second);
+    server::IngressRecord record = std::move(it->second);
     pending_.erase(it);
 
     const uint64_t key = requestPlacementKey(record.request);
@@ -837,14 +594,15 @@ ClusterRouter::placeRequest(int64_t id)
                    ".placements")
         .add();
     {
-        std::lock_guard<std::mutex> lock(wake_->mutex);
-        wake_->placements[id] = chosen;
+        std::lock_guard<std::mutex> lock(published_mutex_);
+        placements_[id] = chosen;
     }
     forwardToReplica(chosen, std::move(record));
 }
 
 void
-ClusterRouter::forwardToReplica(int replica, RouteRecord &&record)
+ClusterRouter::forwardToReplica(int replica,
+                                server::IngressRecord &&record)
 {
     const int64_t id = record.request.id;
     server::StreamRequest forward;
@@ -856,19 +614,6 @@ ClusterRouter::forwardToReplica(int replica, RouteRecord &&record)
     forward.eos_output_tokens = record.request.eos_output_tokens;
     forward.arrival_us = record.request.arrival_us;
     forward.cancel_at_us = record.request.cancel_at_us;
-    if (!config_.server.deterministic_ingress) {
-        // Without the gate, arrivals can reach the router out of
-        // order; clamp to keep the per-replica-handle monotonicity
-        // contract (placement itself is best-effort in this mode).
-        double &floor =
-            last_forward_us_[static_cast<size_t>(replica)];
-        forward.arrival_us = std::max(forward.arrival_us, floor);
-        if (forward.cancel_at_us > 0.0) {
-            forward.cancel_at_us =
-                std::max(forward.cancel_at_us, forward.arrival_us);
-        }
-        floor = forward.arrival_us;
-    }
 
     server::TokenStreamPtr cluster_stream = record.stream;
     const bool track_release =
@@ -893,9 +638,15 @@ ClusterRouter::forwardToReplica(int replica, RouteRecord &&record)
     };
     server::TokenStreamPtr replica_stream =
         handles_[static_cast<size_t>(replica)].submit(forward);
-    // From here on a cancellation goes straight to the replica.
-    cluster_stream->setCancelPoke([replica_stream] {
-        replica_stream->requestCancel();
+    // From here on a cancellation goes straight to the replica. The
+    // poke holds the replica stream weakly: that stream's callback
+    // already owns the cluster stream, and a strong capture back would
+    // be a cycle that leaks both. The replica keeps its stream alive
+    // until the terminal event, after which a cancel is moot.
+    std::weak_ptr<server::TokenStream> weak_replica = replica_stream;
+    cluster_stream->setCancelPoke([weak_replica] {
+        if (server::TokenStreamPtr stream = weak_replica.lock())
+            stream->requestCancel();
     });
     if (cluster_stream->cancelRequested() &&
         !replica_stream->cancelRequested())
@@ -974,7 +725,7 @@ ClusterRouter::rejectAtEdge(int64_t id, server::RejectReason reason)
 {
     auto it = pending_.find(id);
     COMET_CHECK(it != pending_.end());
-    RouteRecord record = std::move(it->second);
+    server::IngressRecord record = std::move(it->second);
     pending_.erase(it);
     ++stats_.rejected;
     clusterCounter("rejected").add();
@@ -998,7 +749,7 @@ ClusterRouter::processEdgeCancellations()
         COMET_CHECK(it != pending_.end());
         pending_order_.erase(
             {it->second.request.arrival_us, id});
-        RouteRecord record = std::move(it->second);
+        server::IngressRecord record = std::move(it->second);
         pending_.erase(it);
         ++stats_.cancelled;
         clusterCounter("cancelled").add();
@@ -1014,12 +765,7 @@ ClusterRouter::cancelUnrouted()
 {
     // A stop-with-cancel can land with submissions still in the
     // inbox; pull them in so every accepted stream terminates.
-    std::vector<RouteRecord> leftover;
-    {
-        std::lock_guard<std::mutex> lock(wake_->mutex);
-        leftover.swap(wake_->inbox);
-    }
-    for (RouteRecord &record : leftover)
+    for (server::IngressRecord &record : gate_->takeInbox())
         acceptSubmit(std::move(record));
     for (auto &entry : pending_) {
         ++stats_.cancelled;
@@ -1063,13 +809,11 @@ ClusterRouter::routerIdle() const
 void
 ClusterRouter::publish(bool complete)
 {
-    std::lock_guard<std::mutex> lock(wake_->mutex);
-    wake_->stats = stats_;
-    wake_->clock_us = clock_;
-    if (complete) {
-        wake_->session_complete = true;
-        wake_->done_cv.notify_all();
+    {
+        std::lock_guard<std::mutex> lock(published_mutex_);
+        published_stats_ = stats_;
     }
+    gate_->publish(clock_, complete);
 }
 
 } // namespace cluster

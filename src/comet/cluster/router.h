@@ -15,11 +15,14 @@
  * (see RoutingPolicy) and forwards the replica's stream events
  * verbatim.
  *
- * Determinism. The router extends the single-server virtual-time
- * ingress gate to per-replica horizons: the cluster clock advances
- * to an event time E only once every open *cluster* client horizon
- * is strictly past E, and before any placement at E every *replica*
- * handle's horizon is advanced to E. Placement inputs at E — the
+ * Determinism. The router is a second front end on the server's
+ * VirtualIngressGate (server/ingress_gate.h): its client handles are
+ * Server::Client handles, and the cluster clock advances to an event
+ * time E only once every open cluster client horizon is strictly past
+ * E. Before any placement at E every *replica* handle's horizon is
+ * advanced to E, and between events the replicas are promised the
+ * gate's floor (open horizons and submissions still in the inbox)
+ * capped by the next pending arrival. Placement inputs at E — the
  * edge fair-admission order, the policy state, and (for
  * least-loaded) reserved-block loads built from replica stream
  * events settled strictly before E via Server::waitSettled — are
@@ -149,35 +152,9 @@ struct ClusterStats {
  */
 class ClusterRouter {
   public:
-    /**
-     * A client handle on the cluster, mirroring Server::Client:
-     * submissions must carry nondecreasing arrival times per handle,
-     * and each open handle gates the cluster clock at its horizon.
-     */
-    class Client {
-      public:
-        /** An unconnected handle; use ClusterRouter::connect(). */
-        Client() = default;
-
-        /** Submits a request; see Server::Client::submit. The
-         * returned stream delivers the routed replica's events. */
-        server::TokenStreamPtr
-        submit(const server::StreamRequest &request);
-
-        /** Promises no further submissions before @p horizon_us. */
-        void advanceTo(double horizon_us);
-
-        /** Closes the handle (horizon to infinity). */
-        void close();
-
-        /** True once connected. */
-        bool valid() const { return router_ != nullptr; }
-
-      private:
-        friend class ClusterRouter;
-        ClusterRouter *router_ = nullptr;
-        size_t index_ = 0;
-    };
+    /** A client handle on the cluster: the same type as
+     * Server::Client (see server::VirtualIngressGate). */
+    using Client = server::VirtualIngressGate::Client;
 
     /**
      * Builds the replica servers and starts the routing loop.
@@ -192,15 +169,13 @@ class ClusterRouter {
     ClusterRouter &operator=(const ClusterRouter &) = delete;
 
     /**
-     * Registers a cluster client; see Server::connect. The new
-     * handle's horizon starts at the router's propagated ingress
-     * floor (>= the published clock): the router forwards its
-     * clients' joint horizon to the replicas as it advances, so a
-     * later connect may not submit below what was already promised.
-     * Keep at least one handle open (or connect all clients up
-     * front) if mid-session connects are needed; once every handle
-     * has closed and all work routed, the floor is infinite and a
-     * new handle could never submit.
+     * Registers a cluster client (see VirtualIngressGate::connect).
+     * The new handle's horizon starts at the floor the router has
+     * already promised its replicas (>= the published clock), so a
+     * later connect may not submit below it. Keep at least one handle
+     * open (or connect all clients up front) if mid-session connects
+     * are needed; once every handle has closed and all work routed,
+     * the floor is infinite and a new handle could never submit.
      */
     Client connect();
 
@@ -263,30 +238,8 @@ class ClusterRouter {
     const std::vector<server::TenantConfig> &tenants() const;
 
   private:
-    /** A submission queued from a client thread to the loop. */
-    struct RouteRecord {
-        server::StreamRequest request; ///< callback cleared
-        server::TokenStreamPtr stream; ///< cluster-facing stream
-        int tenant = 0;                ///< edge tenant index
-    };
-
-    /** Ingress shared between client threads and the loop. */
-    struct Wake;
-
-    /** How an ingress-gate wait resolved (see Server). */
-    enum class GateOutcome { kAdvance, kReplan, kInterrupted };
-
     void loop();
-    server::TokenStreamPtr
-    submitFromClient(size_t client,
-                     const server::StreamRequest &request);
-    void advanceClient(size_t client, double horizon_us, bool close);
-    int tenantIndexByName(const std::string &name) const;
-    void acceptSubmit(RouteRecord &&record);
-    double minHorizonLocked() const;
-    double safeHorizonLocked() const;
-    GateOutcome waitToAdvance(double target_us);
-    void publishClock();
+    void acceptSubmit(server::IngressRecord &&record);
     bool stepOnce();
     void fireDueDrains(double now_us);
     void drainReplica(int replica);
@@ -297,7 +250,7 @@ class ClusterRouter {
     void recordRelease(int64_t id, double virtual_us);
     void routeArrivalsAt(double now_us);
     void placeRequest(int64_t id);
-    void forwardToReplica(int replica, RouteRecord &&record);
+    void forwardToReplica(int replica, server::IngressRecord &&record);
     int choosePlacement(uint64_t key);
     int secondChoice(uint64_t key, int first) const;
     bool fitsReplica(int replica,
@@ -320,9 +273,20 @@ class ClusterRouter {
     std::vector<server::Server::Client> handles_;
     std::unique_ptr<server::FairAdmissionQueue> fair_edge_;
 
-    std::shared_ptr<Wake> wake_;
+    std::shared_ptr<server::VirtualIngressGate> gate_;
     std::thread loop_thread_;
     std::mutex join_mutex_; ///< serializes stop()'s join
+
+    /** Wall-clock drain requests the loop has not picked up yet
+     * (requestDrain pokes the gate after queueing one). */
+    std::mutex drain_mutex_;
+    std::vector<int> drain_requests_;
+
+    /** Snapshots the loop publishes for stats()/placementOf(). */
+    mutable std::mutex published_mutex_;
+    ClusterStats published_stats_;
+    /** id -> replica, recorded at placement time. */
+    std::map<int64_t, int> placements_;
 
     /** Terminal-event releases recorded by replica loop threads;
      * applied by the router loop once settled (strictly before the
@@ -333,7 +297,7 @@ class ClusterRouter {
     // --- Loop-owned state (the routing loop thread only) ---
     /** Pending arrivals, ordered by (arrival_us, id). */
     std::set<std::pair<double, int64_t>> pending_order_;
-    std::map<int64_t, RouteRecord> pending_;
+    std::map<int64_t, server::IngressRecord> pending_;
     /** Unfired scheduled drains, ordered by (at_us, replica). */
     std::set<std::pair<double, int>> drain_order_;
     std::vector<bool> replica_active_;
@@ -342,17 +306,11 @@ class ClusterRouter {
     /** id -> (replica, reserved blocks) for routed, non-terminal
      * streams (least-loaded policy). */
     std::map<int64_t, std::pair<int, int64_t>> outstanding_;
-    /** Latest arrival forwarded per replica: monotonicity clamp for
-     * the non-deterministic ingress mode. */
-    std::vector<double> last_forward_us_;
     ConsistentHashRing ring_;
     SmoothWeightedRoundRobin wrr_;
     ClusterStats stats_;
     bool session_done_ = false;
     double clock_ = 0.0;
-    /** Ingress floor last forwarded to the replica handles (see
-     * propagateHorizons); monotone. */
-    double propagated_us_ = 0.0;
 };
 
 } // namespace cluster

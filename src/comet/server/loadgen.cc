@@ -158,10 +158,10 @@ loadgenTenants(const LoadgenConfig &config)
     return tenants;
 }
 
-LoadgenReport
-runLoadgen(Server *server, const LoadgenConfig &config)
+std::vector<RequestOutcome>
+runLoadgenClients(const LoadgenConfig &config,
+                  const std::function<Server::Client()> &connect)
 {
-    COMET_CHECK(server != nullptr);
     COMET_CHECK(config.clients > 0);
     COMET_CHECK(!config.tenants.empty());
 
@@ -174,13 +174,11 @@ runLoadgen(Server *server, const LoadgenConfig &config)
         outcomes[i].arrival_us = workload[i].arrival_us;
     }
 
-    // Connect every client before any submission so each handle's
-    // ingress horizon gates the virtual clock from the start.
     const size_t clients =
         std::min(static_cast<size_t>(config.clients), total);
     std::vector<Server::Client> handles;
     for (size_t c = 0; c < clients; ++c)
-        handles.push_back(server->connect());
+        handles.push_back(connect());
 
     std::vector<std::thread> threads;
     threads.reserve(clients);
@@ -230,6 +228,15 @@ runLoadgen(Server *server, const LoadgenConfig &config)
     }
     for (std::thread &thread : threads)
         thread.join();
+    return outcomes;
+}
+
+LoadgenReport
+runLoadgen(Server *server, const LoadgenConfig &config)
+{
+    COMET_CHECK(server != nullptr);
+    std::vector<RequestOutcome> outcomes = runLoadgenClients(
+        config, [server] { return server->connect(); });
     // Callback mode: events keep flowing on the loop thread until
     // the drain barrier below synchronizes the outcome slots.
     server->drain();

@@ -16,6 +16,7 @@
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <string>
 #include <vector>
 
@@ -164,6 +165,21 @@ LoadgenReport finalizeLoadgenReport(const LoadgenConfig &config,
  * drive per-replica single-server baselines next to a cluster run.
  */
 uint64_t deriveReplicaSeed(uint64_t seed, int replica);
+
+/**
+ * The client side of one open-loop run, shared by runLoadgen and
+ * cluster::runClusterLoadgen: generates the workload, connects
+ * config.clients handles through @p connect before any submission
+ * (so each handle gates the clock from the start), and has one thread
+ * per handle submit its round-robin share of the arrival-sorted
+ * workload, close the handle, and stream the responses back. Returns
+ * one outcome per request, indexed by request id. In callback mode
+ * the slots fill on the front end's loop threads, so they are only
+ * complete once the caller drained the front end.
+ */
+std::vector<RequestOutcome>
+runLoadgenClients(const LoadgenConfig &config,
+                  const std::function<Server::Client()> &connect);
 
 /**
  * Runs the workload against @p server: spawns config.clients client

@@ -14,24 +14,12 @@
  * ## Determinism (conservative virtual-time ingress)
  *
  * Latency numbers must be bit-stable for a fixed workload even though
- * submission is racy host concurrency. Each client connects once and
- * submits requests with nondecreasing virtual arrival times; the
- * client handle's last submitted (or explicitly advanced) arrival is
- * its *horizon* — a promise that every arrival still coming through
- * the handle is at or after it. The loop never advances the virtual
- * clock to T until every open horizon is *strictly* past T (equal
- * arrival times through one handle are legal, so a horizon exactly at
- * T could still produce more arrivals at T), and before committing a
- * clock jump it re-examines any submission that landed while it was
- * waiting — the newcomer may be earlier than the planned target. By
- * the time the loop makes any admission or scheduling decision at
- * clock T it has therefore ingested every arrival <= T that will ever
- * exist, and the whole session replays identically regardless of
- * thread interleaving (classic conservative discrete-event
- * synchronization). Closing a handle moves its horizon to infinity;
- * drain()/stop() close ingress and release the gate. Set
- * ServerConfig::deterministic_ingress = false to trade determinism
- * for immediate (wall-clock) ingestion.
+ * submission is racy host concurrency. Clients connect through the
+ * server's VirtualIngressGate (ingress_gate.h), whose floor rule
+ * holds the virtual clock until every arrival at or below the next
+ * decision point has been taken, so the whole session replays
+ * identically regardless of thread interleaving. drain()/stop() close
+ * ingress and release the gate.
  *
  * ## Backpressure contract
  *
@@ -55,49 +43,11 @@
 #include "comet/serve/batch_scheduler.h"
 #include "comet/serve/engine.h"
 #include "comet/server/admission.h"
+#include "comet/server/ingress_gate.h"
 #include "comet/server/streaming.h"
 
 namespace comet {
 namespace server {
-
-/** One request as a client submits it. */
-struct StreamRequest {
-    /** Caller-assigned id, unique across the whole session (the load
-     * generator derives them deterministically per client). */
-    int64_t id = 0;
-    std::string tenant;        ///< tenant to account admission under
-    int64_t prompt_tokens = 0; ///< prompt length to prefill
-    /**
-     * Prompt token ids — the content the prefix cache keys on. When
-     * non-empty it must be exactly prompt_tokens long; empty keeps
-     * the request content-free (no prefix caching for it, everything
-     * else unchanged). Only consulted when the server has the prefix
-     * cache on and the tenant opted in (TenantConfig::prefix_caching);
-     * keys are derived on the submit path, and the ids themselves are
-     * not retained past it.
-     */
-    std::vector<int32_t> prompt_ids;
-    /** Declared generation bound (what admission reserves against). */
-    int64_t max_output_tokens = 0;
-    /** Actual EOS length when the workload models one; 0 = run to
-     * the declared bound. */
-    int64_t eos_output_tokens = 0;
-    /** Virtual arrival time, microseconds; nondecreasing per client
-     * handle. */
-    double arrival_us = 0.0;
-    /**
-     * Virtual time at which the client abandons the request
-     * (>= arrival_us); 0 = never. The loop cancels the request at the
-     * first scheduling boundary whose clock reaches this time, so —
-     * unlike the wall-clock TokenStream::requestCancel() — the cancel
-     * lands at a deterministic point of the virtual timeline and
-     * replays bit-identically (the chaos harness's workload scripts
-     * model client cancel/disconnect through it).
-     */
-    double cancel_at_us = 0.0;
-    /** Optional token callback; empty selects pull-mode streaming. */
-    TokenStream::Callback callback;
-};
 
 /** Server construction parameters. */
 struct ServerConfig {
@@ -112,9 +62,6 @@ struct ServerConfig {
     /** Server-wide bound on queued-for-admission requests (across
      * tenants, on top of per-tenant bounds); 0 = unbounded. */
     int64_t max_queued_total = 0;
-    /** Conservative virtual-time ingress (deterministic replay); see
-     * the file comment. false = ingest submissions immediately. */
-    bool deterministic_ingress = true;
     /** Builds the session's KV cache with the automatic prefix cache
      * (comet::prefix). Tenants still opt in individually via
      * TenantConfig::prefix_caching, and requests must carry
@@ -197,44 +144,8 @@ struct ServerStats {
 class Server
 {
   public:
-    /**
-     * A client's submission handle. Copyable value type; all methods
-     * forward to the server. Submissions through one handle must
-     * carry nondecreasing arrival times; close the handle when no
-     * more submissions are coming so the deterministic ingress gate
-     * can release (see Server file comment).
-     */
-    class Client
-    {
-      public:
-        /** An unconnected handle (submit on it is invalid). */
-        Client() = default;
-
-        /**
-         * Submits a request and returns its stream. Never fails and
-         * never blocks on capacity: structurally invalid submissions
-         * (unknown tenant, closed server) come back as an already
-         * terminated stream with the corresponding RejectReason, and
-         * overload verdicts arrive asynchronously on the stream.
-         */
-        TokenStreamPtr submit(const StreamRequest &request);
-
-        /** Promises that no submission with arrival_us earlier than
-         * @p horizon_us is still coming through this handle. */
-        void advanceTo(double horizon_us);
-
-        /** Final horizon: no more submissions through this handle
-         * (idempotent; the handle stays valid for no-ops). */
-        void close();
-
-        /** True when the handle is connected to a server. */
-        bool valid() const { return server_ != nullptr; }
-
-      private:
-        friend class Server;
-        Server *server_ = nullptr;
-        size_t index_ = 0;
-    };
+    /** A client's submission handle (see VirtualIngressGate). */
+    using Client = VirtualIngressGate::Client;
 
     /**
      * Builds the serving state (KV cache sized from the engine's
@@ -330,10 +241,9 @@ class Server
     int64_t kvBlocksForTokens(int64_t tokens) const;
 
   private:
-    /** A submission as queued from a client thread to the loop. */
+    /** An accepted submission waiting for its arrival time. */
     struct SubmitRecord {
         PendingRequest request;
-        double arrival_us = 0.0;
         /** Scheduled client abandon time; 0 = never (see
          * StreamRequest::cancel_at_us). */
         double cancel_at_us = 0.0;
@@ -350,29 +260,9 @@ class Server
         bool in_scheduler = false; ///< else waiting in the fair queue
     };
 
-    /** Ingress shared between client threads and the loop. */
-    struct Wake;
-
-    /** How an ingress-gate wait for a clock fast-forward resolved. */
-    enum class GateOutcome {
-        kAdvance,     ///< safe to commit the clock jump
-        kReplan,      ///< new submissions/pokes: re-plan the target
-        kInterrupted, ///< stop-with-cancel ended the session
-    };
-
     void loop();
-    TokenStreamPtr submitFromClient(size_t client,
-                                    const StreamRequest &request);
-    void advanceClient(size_t client, double horizon_us,
-                       bool close);
-    int tenantIndexByName(const std::string &name) const;
-    void acceptArrival(SubmitRecord &&record);
-    double safeHorizonLocked() const;
-    double minHorizonLocked() const;
-    void advanceSettledLocked(double settled_us);
-    bool waitForSafe(double target_us);
-    GateOutcome waitToAdvance(double target_us);
-    void publishClock();
+    void acceptArrival(IngressRecord &&record);
+    bool commitClock(double target_us);
     void ingestDueArrivals();
     bool stepOnce();
     void injectFromFairQueue();
@@ -391,16 +281,21 @@ class Server
     const ServingEngine *engine_;
     ServerConfig config_;
     ServingPrecision precision_;
-    /** Key-space template of the session's cache geometry; submit
-     * stamps the tenant index in as the namespace. */
+    /** Key-space template of the session's cache geometry;
+     * acceptArrival stamps the tenant index in as the namespace. */
     prefix::KeySpace key_space_;
     std::unique_ptr<PagedKvCache> cache_;
     std::unique_ptr<BatchScheduler> scheduler_;
     std::unique_ptr<FairAdmissionQueue> fair_;
 
-    std::shared_ptr<Wake> wake_; ///< ingress mutex/cv + inbox
+    std::shared_ptr<VirtualIngressGate> gate_;
     std::thread loop_thread_;
     std::mutex join_mutex_; ///< serializes stop()'s join
+
+    /** Snapshots the loop publishes for stats()/schedulerCounters(). */
+    mutable std::mutex published_mutex_;
+    ServerStats published_stats_;
+    SchedulerCounters published_sched_;
 
     // --- Loop-owned state (no locking; the loop thread only) ---
     /** Arrivals not yet due, ordered by (arrival_us, id). */

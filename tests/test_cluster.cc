@@ -9,6 +9,7 @@
 
 #include <map>
 #include <string>
+#include <thread>
 #include <utility>
 #include <vector>
 
@@ -204,9 +205,10 @@ TEST_F(ClusterTest, ScheduledDrainCompletesAllStreams)
     // fired, but it did serve traffic before.
     EXPECT_GT(stats.routed_per_replica[2], 0);
     for (const RequestOutcome &outcome : report.outcomes) {
-        if (outcome.arrival_us >= drain.at_us)
+        if (outcome.arrival_us >= drain.at_us) {
             EXPECT_NE(outcome.replica, 2)
                 << "arrival at " << outcome.arrival_us;
+        }
     }
     router.stop(/*cancel_in_flight=*/false);
 }
@@ -382,6 +384,64 @@ TEST_F(ClusterTest, UnfaultedClusterSoakHoldsAllInvariants)
     EXPECT_TRUE(result.ok) << result.failure;
     EXPECT_GT(result.replica_completed, 0);
     EXPECT_FALSE(result.event_log.empty());
+}
+
+TEST_F(ClusterTest, SubmitThenCloseNeverFallsBelowTheReplicaFloor)
+{
+    // Regression for a floor race: the router promises its replicas
+    // a floor below which no arrival can still come. Client A submits
+    // one early request and closes while client B streams later
+    // arrivals. If A's submit and close land between the routing
+    // loop's inbox swap and its horizon read, A's horizon is already
+    // infinite while its request still sits in the inbox; a floor
+    // that ignores the inbox then advances the replicas past A's
+    // arrival, and forwarding it aborts the replica's monotone
+    // per-handle arrival check. Many short sessions make the window
+    // likely to be hit.
+    const ServingEngine engine(testEngineConfig());
+    ClusterConfig config;
+    for (int r = 0; r < 2; ++r) {
+        ReplicaSpec spec;
+        spec.engine = &engine;
+        config.replicas.push_back(spec);
+    }
+    server::TenantConfig tenant;
+    tenant.name = "t";
+    config.server.tenants = {tenant};
+    config.server.max_batch = 16;
+    const auto request = [](int64_t id, double arrival_us) {
+        server::StreamRequest r;
+        r.id = id;
+        r.tenant = "t";
+        r.prompt_tokens = 16;
+        r.max_output_tokens = 1;
+        r.arrival_us = arrival_us;
+        return r;
+    };
+    constexpr int kSessions = 200;
+    constexpr int kLate = 400;
+    for (int session = 0; session < kSessions; ++session) {
+        ClusterRouter router(config);
+        ClusterRouter::Client a = router.connect();
+        ClusterRouter::Client b = router.connect();
+        server::TokenStreamPtr early;
+        std::thread submitter([&] {
+            early = a.submit(request(0, 10.0));
+            a.close();
+        });
+        std::vector<server::TokenStreamPtr> late;
+        for (int i = 0; i < kLate; ++i)
+            late.push_back(b.submit(request(1 + i, 100.0 + i)));
+        b.close();
+        submitter.join();
+        router.drain();
+        ASSERT_TRUE(early->done());
+        ASSERT_EQ(early->terminalKind(), StreamEventKind::kFinished)
+            << "session " << session;
+        for (const server::TokenStreamPtr &stream : late)
+            ASSERT_EQ(stream->terminalKind(), StreamEventKind::kFinished);
+        router.stop(/*cancel_in_flight=*/false);
+    }
 }
 
 } // namespace

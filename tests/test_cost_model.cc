@@ -248,7 +248,10 @@ TEST(CostModelDeathTest, RejectsEmptyShape)
 /** Sweep every paper model x batch: invariants that must hold for
  * any shape the serving engine can generate. */
 struct ModelBatch {
-    int model_index;
+    // Both fields 64-bit so the struct has no padding: gtest names
+    // each case after the parameter's raw bytes, and padding bytes
+    // are uninitialised, which made the case names vary run to run.
+    int64_t model_index;
     int64_t batch;
 };
 

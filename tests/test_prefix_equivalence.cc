@@ -143,10 +143,11 @@ runWorkload(const std::vector<Request> &requests, bool prefix_on,
                 std::to_string(request.generated_tokens) + ",";
         }
         for (const Request &request : scheduler.drainRetired()) {
-            result.streams[static_cast<size_t>(request.id)] +=
-                requestStateName(request.state);
-            result.streams[static_cast<size_t>(request.id)] +=
-                "@" + std::to_string(request.generated_tokens);
+            std::string &stream =
+                result.streams[static_cast<size_t>(request.id)];
+            stream += requestStateName(request.state);
+            stream += '@';
+            stream += std::to_string(request.generated_tokens);
         }
         if (++steps >= 100000) {
             ADD_FAILURE() << "workload did not converge";

@@ -277,104 +277,6 @@ TEST_F(ServerTest, StopCancelsInFlightWorkDeterministically)
     EXPECT_EQ(server.stats().cancelled, 4);
 }
 
-TEST_F(ServerTest, IngressGateHoldsTheClockForOpenClients)
-{
-    const ServingEngine engine(testEngineConfig());
-    Server server(&engine, oneTenantConfig());
-    Server::Client active = server.connect();
-    Server::Client idle = server.connect();
-    TokenStreamPtr stream =
-        active.submit(streamRequest(1, 1000.0, 64, 2));
-    active.close();
-    // The idle client's horizon is still 0: the server must not
-    // advance the virtual clock to the arrival, no matter how much
-    // wall time passes (a hard determinism invariant, so this
-    // cannot flake).
-    std::this_thread::sleep_for(std::chrono::milliseconds(50));
-    EXPECT_LT(server.virtualClockUs(), 1000.0);
-    EXPECT_FALSE(stream->done());
-    idle.close();
-    server.drain();
-    EXPECT_TRUE(stream->done());
-    EXPECT_EQ(stream->terminalKind(), StreamEventKind::kFinished);
-    server.stop();
-}
-
-TEST_F(ServerTest, GateWaitReplansForEarlierSubmissions)
-{
-    // Regression for a determinism race: with the loop blocked in
-    // the idle fast-forward toward a known arrival, a submission
-    // with an EARLIER virtual arrival lands in the inbox. The gate
-    // must re-plan and serve the newcomer at its own arrival time —
-    // the virtual timeline cannot depend on whether the submission
-    // beat the loop's last inbox drain.
-    const ServingEngine engine(testEngineConfig());
-    auto run = [&](bool let_gate_block_first) {
-        Server server(&engine, oneTenantConfig());
-        Server::Client a = server.connect();
-        Server::Client b = server.connect();
-        TokenStreamPtr late =
-            a.submit(streamRequest(1, 50000.0, 64, 2));
-        a.close();
-        if (let_gate_block_first) {
-            // Give the loop wall time to enter the fast-forward
-            // gate toward 50 ms before the earlier arrival shows up.
-            std::this_thread::sleep_for(
-                std::chrono::milliseconds(20));
-        }
-        TokenStreamPtr early =
-            b.submit(streamRequest(2, 1000.0, 64, 2));
-        b.close();
-        server.drain();
-        std::vector<double> times;
-        StreamEvent event;
-        while (early->next(&event))
-            times.push_back(event.virtual_us);
-        while (late->next(&event))
-            times.push_back(event.virtual_us);
-        server.stop();
-        return times;
-    };
-
-    const std::vector<double> eager = run(false);
-    const std::vector<double> delayed = run(true);
-    ASSERT_EQ(eager.size(), delayed.size());
-    for (size_t i = 0; i < eager.size(); ++i)
-        EXPECT_DOUBLE_EQ(eager[i], delayed[i]);
-    // The earlier request was ingested at its own arrival, not at
-    // the fast-forward target it raced.
-    ASSERT_GE(delayed.size(), 1u);
-    EXPECT_LT(delayed[0], 50000.0);
-}
-
-TEST_F(ServerTest, LateConnectStartsAtTheVirtualPresent)
-{
-    const ServingEngine engine(testEngineConfig());
-    Server server(&engine, oneTenantConfig());
-    Server::Client a = server.connect();
-    TokenStreamPtr first = a.submit(streamRequest(1, 0.0, 64, 2));
-    a.close();
-    StreamEvent event;
-    while (first->next(&event)) {
-    }
-    EXPECT_EQ(first->terminalKind(), StreamEventKind::kFinished);
-    const double clock = server.virtualClockUs();
-    EXPECT_GT(clock, 0.0);
-
-    // A client joining mid-session starts gating at the virtual
-    // present: it submits from the current clock onward, and its
-    // open handle can neither stall the session on a horizon of 0
-    // nor rewind the ingress gate below decisions already made.
-    Server::Client b = server.connect();
-    TokenStreamPtr second =
-        b.submit(streamRequest(2, clock + 1000.0, 64, 2));
-    b.close();
-    server.drain();
-    EXPECT_EQ(second->terminalKind(), StreamEventKind::kFinished);
-    EXPECT_GE(server.virtualClockUs(), clock + 1000.0);
-    server.stop();
-}
-
 TEST_F(ServerTest, WeightedTenantsShareAdmissionUnderContention)
 {
     const ServingEngine engine(testEngineConfig(512));

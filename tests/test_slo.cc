@@ -78,15 +78,15 @@ TEST_F(SloTest, TenantSloCountersPartitionFinishedStreams)
 
     Server::Client client = server.connect();
     int64_t id = 0;
-    for (const std::string &tenant : {"tight", "loose", "none"}) {
+    for (const char *tenant : {"tight", "loose", "none"}) {
         // Three multi-token streams (TPOT measurable) plus one
-        // single-token stream (TPOT not measurable).
-        for (int i = 0; i < 3; ++i) {
-            client.submit(streamRequest(++id, 10.0 * id, tenant, 64,
-                                        /*output=*/4));
+        // single-token stream (TPOT not measurable), 10 us apart.
+        for (int i = 0; i < 4; ++i) {
+            ++id;
+            client.submit(streamRequest(id, 10.0 * static_cast<double>(id),
+                                        tenant, 64,
+                                        /*output=*/i < 3 ? 4 : 1));
         }
-        client.submit(
-            streamRequest(++id, 10.0 * id, tenant, 64, /*output=*/1));
     }
     client.close();
     server.drain();

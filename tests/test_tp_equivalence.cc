@@ -89,10 +89,10 @@ runSchedulerWorkload(const std::vector<Request> &requests,
                 std::to_string(request.generated_tokens) + ",";
         }
         for (const Request &request : scheduler.drainRetired()) {
-            streams[static_cast<size_t>(request.id)] +=
-                requestStateName(request.state);
-            streams[static_cast<size_t>(request.id)] +=
-                "@" + std::to_string(request.generated_tokens);
+            std::string &stream = streams[static_cast<size_t>(request.id)];
+            stream += requestStateName(request.state);
+            stream += '@';
+            stream += std::to_string(request.generated_tokens);
         }
         if (++steps >= 100000) {
             ADD_FAILURE() << "workload did not converge";
