@@ -23,11 +23,13 @@
  * bench_obs_overhead measures disabled spans, and enforces the
  * <= 1 ns/hit budget in optimized non-sanitizer builds.
  */
+#include <algorithm>
 #include <cinttypes>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -53,23 +55,32 @@ using namespace comet::chaos;
 #define COMET_BENCH_SANITIZED 1
 #endif
 
-/** ns/hit of a disabled failpoint: one relaxed atomic load. */
+/** ns/hit of a disabled failpoint: one relaxed atomic load. The
+ * minimum over a few repetitions: interference from other processes
+ * only ever adds time, so the fastest repetition is the one closest to
+ * the probe's own cost. */
 double
 measureDisabledFailpointNs()
 {
     FailPointRegistry::global().disarmAll();
+    constexpr int kRepetitions = 5;
     constexpr int64_t kIters = 20'000'000;
-    const auto start = std::chrono::steady_clock::now();
-    for (int64_t i = 0; i < kIters; ++i) {
-        if (COMET_FAILPOINT("soak.probe"))
-            std::abort(); // never armed; keeps the branch live
-        asm volatile("" ::: "memory");
+    double best_ns = std::numeric_limits<double>::infinity();
+    for (int rep = 0; rep < kRepetitions; ++rep) {
+        const auto start = std::chrono::steady_clock::now();
+        for (int64_t i = 0; i < kIters; ++i) {
+            if (COMET_FAILPOINT("soak.probe"))
+                std::abort(); // never armed; keeps the branch live
+            asm volatile("" ::: "memory");
+        }
+        const auto stop = std::chrono::steady_clock::now();
+        const double ns_per_hit =
+            std::chrono::duration<double, std::nano>(stop - start)
+                .count() /
+            static_cast<double>(kIters);
+        best_ns = std::min(best_ns, ns_per_hit);
     }
-    const auto stop = std::chrono::steady_clock::now();
-    const double total_ns =
-        std::chrono::duration<double, std::nano>(stop - start)
-            .count();
-    return total_ns / static_cast<double>(kIters);
+    return best_ns;
 }
 
 /** Replicas the cluster soak routes across. */

@@ -30,9 +30,13 @@
  *    (e.g. the active SIMD mode) belong in ungated metric names or
  *    stay out of config.
  *  - `git_sha` is informational provenance, never compared.
+ *  - writeIfRequested appends an ungated `wall_ms` metric: the bench
+ *    process's wall clock from start-up to the report write, so each
+ *    report records what the run cost on the machine it ran on.
  */
 #pragma once
 
+#include <chrono>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
@@ -45,6 +49,11 @@
 
 namespace comet {
 namespace bench {
+
+/** When the bench process started: initialized before main() runs,
+ * because some benches only build their report after the work. */
+inline const std::chrono::steady_clock::time_point kProcessStart =
+    std::chrono::steady_clock::now();
 
 /** One reported metric. */
 struct BenchMetric {
@@ -129,8 +138,9 @@ class BenchReport
                         "error writing --json output file");
     }
 
-    /** Writes the report when `--json=FILE` was passed; returns
-     * whether it was. Call after all metrics are recorded. */
+    /** Writes the report, plus the ungated `wall_ms` metric, when
+     * `--json=FILE` was passed; returns whether it was. Call after all
+     * metrics are recorded. */
     bool
     writeIfRequested(int argc, char **argv) const
     {
@@ -146,7 +156,15 @@ class BenchReport
         if (!requested)
             return false;
         COMET_CHECK_MSG(!path.empty(), "--json needs a file path");
-        write(path);
+        BenchReport timed = *this;
+        timed.addMetric("wall_ms",
+                        std::chrono::duration<double, std::milli>(
+                            std::chrono::steady_clock::now() -
+                            kProcessStart)
+                            .count(),
+                        "ms", /*gate=*/false,
+                        /*higher_is_better=*/false);
+        timed.write(path);
         return true;
     }
 

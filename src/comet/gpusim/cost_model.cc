@@ -66,13 +66,22 @@ GemmCostModel::computeTime(const GemmShape &shape, int precision_bits,
     return shape.ops() / peak * 1e6;
 }
 
-double
-GemmCostModel::scheduledComputeTime(const GemmShape &shape,
-                                    const CometKernelFeatures &features,
-                                    double efficiency,
-                                    double *utilization) const
+SchedulerConfig
+GemmCostModel::schedulerConfig() const
+{
+    SchedulerConfig config;
+    config.num_sms = spec_.num_sms;
+    config.steal_split = calibration_.steal_split;
+    config.steal_overhead = calibration_.steal_overhead;
+    return config;
+}
+
+GemmTileGrid
+GemmCostModel::cometTileGrid(const GemmShape &shape,
+                             const CometKernelFeatures &features) const
 {
     const auto &cal = calibration_;
+    const double efficiency = cal.efficiency_comet;
     const int64_t k_blocks =
         (shape.k + cal.tile_k - 1) / cal.tile_k;
 
@@ -166,25 +175,29 @@ GemmCostModel::scheduledComputeTime(const GemmShape &shape,
         features.software_pipeline
             ? std::max(0.0, conv8 - cal.conv_hide_budget * mma8)
             : conv8;
-    const double tile4 = pipelineIterationTime(
+    GemmTileGrid grid;
+    grid.mn_tiles = ((shape.m + cal.tile_m - 1) / cal.tile_m) *
+                    ((shape.n + cal.tile_n - 1) / cal.tile_n);
+    grid.k_tile_precisions = std::move(pattern);
+    grid.int4_tile_us = pipelineIterationTime(
         StageTimes{load4, smem4, 0.0, mma4}, mode);
-    const double tile8 = pipelineIterationTime(
+    grid.int8_tile_us = pipelineIterationTime(
         StageTimes{load8, smem8, 0.0, mma8 + exposed_conv}, mode);
+    return grid;
+}
 
-    std::vector<TileWork> tiles = buildGemmTiles(
-        shape.m, shape.n, shape.k, cal.tile_m, cal.tile_n, cal.tile_k,
-        pattern, cal.tile_k, tile4, tile8);
-
-    SchedulerConfig sched_config;
-    sched_config.num_sms = spec_.num_sms;
-    sched_config.steal_split = cal.steal_split;
-    sched_config.steal_overhead = cal.steal_overhead;
-    const ScheduleResult schedule =
-        scheduleTiles(tiles, sched_config, features.scheduling);
+double
+GemmCostModel::scheduledComputeTime(const GemmShape &shape,
+                                    const CometKernelFeatures &features,
+                                    double *utilization) const
+{
+    const ScheduleResult schedule = scheduleGemmTiles(
+        cometTileGrid(shape, features), schedulerConfig(),
+        features.scheduling);
     if (utilization != nullptr)
         *utilization = schedule.utilization();
-    return schedule.makespan +
-           static_cast<double>(schedule.barriers) * cal.barrier_us;
+    return schedule.makespan + static_cast<double>(schedule.barriers) *
+                                   calibration_.barrier_us;
 }
 
 KernelCost
@@ -278,7 +291,6 @@ GemmCostModel::estimate(const GemmShape &shape, GemmKernelKind kind,
     double smem_us = 0.0;
     if (kind == GemmKernelKind::kCometW4Ax) {
         compute_us = scheduledComputeTime(shape, features,
-                                          cal.efficiency_comet,
                                           &cost.sm_utilization);
         // Shared-memory traffic of the COMET tiles is already inside
         // the per-tile pipeline times.

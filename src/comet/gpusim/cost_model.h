@@ -12,9 +12,11 @@
  *    is disabled, reproducing the Figure 6 bank conflicts),
  *  - the software-pipeline composition from kernel/pipeline.h (stages
  *    overlap when the pipeline is on, serialize when off), and
- *  - for mixed-precision kernels, the discrete SM-scheduler simulation
- *    from sm_scheduler.h, which turns the per-tile duration mix into a
- *    makespan under the chosen scheduling strategy.
+ *  - for mixed-precision kernels, the SM scheduler of sm_scheduler.h,
+ *    which turns the GEMM's tile grid (k-tile precision pattern and
+ *    per-class tile durations) into a makespan under the chosen
+ *    scheduling strategy. It costs the grid in closed form, without
+ *    enumerating tiles.
  *
  * Calibration constants (efficiencies, launch overhead) are fitted so
  * the *relative* kernel ordering and speedup magnitudes track the
@@ -155,6 +157,17 @@ class GemmCostModel
     KernelCost estimate(const GemmShape &shape, GemmKernelKind kind,
                         const CometKernelFeatures &features = {}) const;
 
+    /**
+     * The tile grid COMET-W4Ax schedules for @p shape: the per-k-tile
+     * precision pattern and the pipelined per-tile durations of each
+     * precision class.
+     */
+    GemmTileGrid cometTileGrid(const GemmShape &shape,
+                               const CometKernelFeatures &features) const;
+
+    /** The SM count and task-stealing knobs the scheduler runs with. */
+    SchedulerConfig schedulerConfig() const;
+
   private:
     /** Tensor-core time of a uniform-precision GEMM at the given peak
      * efficiency, accounting for tile-level parallelism limits. */
@@ -167,7 +180,6 @@ class GemmCostModel
     /** Mixed-precision tensor-core time via the SM scheduler. */
     double scheduledComputeTime(const GemmShape &shape,
                                 const CometKernelFeatures &features,
-                                double efficiency,
                                 double *utilization) const;
 
     GpuSpec spec_;

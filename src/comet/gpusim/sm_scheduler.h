@@ -14,15 +14,30 @@
  *    stays the naive cyclic one, so SMs that keep drawing INT8 tiles
  *    still dominate the makespan (Figure 8(c)).
  *  - kTileRemapping: tiles are redistributed so each SM receives a
- *    balanced mix (longest-processing-time greedy; Figure 8(d)).
+ *    balanced mix: each precision class is dealt round-robin over the
+ *    SMs (Figure 8(d)).
  *  - kTaskStealing: additionally breaks the one-to-one tile/SM binding:
  *    idle SMs steal fractions of the remaining tiles near the end of
  *    the kernel (Figure 8(e)). Modeled by splitting tiles into
  *    sub-tiles (with a small reduction overhead per extra fragment)
  *    before balanced assignment.
  *
- * The scheduler here is a faithful discrete simulation of those four
- * policies; the Figure 14 bench runs it on real tile lists.
+ * Two implementations of those four policies share ScheduleResult:
+ *
+ *  - scheduleGemmTiles is the closed form every cost estimate uses. A
+ *    GEMM's tile list is its k-tile precision pattern repeated once per
+ *    (m, n) output tile, so each policy reduces to counting: how many
+ *    tiles of each class an SM receives, and how many waves end on an
+ *    INT8 or an INT4 tile. Its cost is O(k_tiles + num_sms), however
+ *    large M and N are.
+ *  - scheduleTiles is the discrete reference simulation over an
+ *    explicit tile list (buildGemmTiles enumerates a GEMM's). It is
+ *    the test oracle of the closed form and schedules tile lists that
+ *    are not GEMM grids.
+ *
+ * The two agree exactly in barrier counts and within summation
+ * rounding in every duration: the closed form multiplies counts by
+ * durations where the simulation adds one tile at a time.
  */
 #pragma once
 
@@ -71,7 +86,38 @@ struct SchedulerConfig {
     double steal_overhead = 0.03;
 };
 
-/** Simulates the given policy over the tile list. */
+/**
+ * The tile grid of one mixed-precision GEMM: the per-k-tile precision
+ * pattern, repeated once per (m, n) output tile. Tile i of the issue
+ * order is k tile i % k_tiles of output tile i / k_tiles — the order
+ * buildGemmTiles enumerates.
+ */
+struct GemmTileGrid {
+    int64_t mn_tiles = 0; ///< m_tiles * n_tiles
+    std::vector<BlockPrecision> k_tile_precisions;
+    double int4_tile_us = 0.0; ///< duration of a W4A4 tile on one SM
+    double int8_tile_us = 0.0; ///< duration of a W4A8 tile on one SM
+
+    /** Total tiles, mn_tiles * k_tiles. */
+    int64_t
+    tileCount() const
+    {
+        return mn_tiles *
+               static_cast<int64_t>(k_tile_precisions.size());
+    }
+};
+
+/**
+ * Schedules a GEMM tile grid in closed form: the result of
+ * scheduleTiles on the grid's enumerated tile list, up to summation
+ * rounding, in O(k_tiles + num_sms) time.
+ */
+ScheduleResult scheduleGemmTiles(const GemmTileGrid &grid,
+                                 const SchedulerConfig &config,
+                                 SchedulingStrategy strategy);
+
+/** Simulates the given policy over the tile list (the reference the
+ * closed form is tested against). */
 ScheduleResult scheduleTiles(const std::vector<TileWork> &tiles,
                              const SchedulerConfig &config,
                              SchedulingStrategy strategy);

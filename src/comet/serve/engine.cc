@@ -10,7 +10,6 @@
 #include "comet/obs/metrics.h"
 #include "comet/obs/obs.h"
 #include "comet/obs/trace_session.h"
-#include "comet/runtime/thread_pool.h"
 #include "comet/serve/batch_scheduler.h"
 #include "comet/tp/interconnect.h"
 
@@ -284,35 +283,15 @@ ServingEngine::prefillLatencyUs(
 {
     if (prompt_tokens.empty())
         return 0.0;
-    // Per-request prefill accounting fans out across the runtime
-    // pool; partials fold in ascending chunk order (and are exact
-    // integer-valued doubles), so the totals match the sequential
-    // sweep bit-for-bit for any pool size.
-    struct PrefillSums {
-        int64_t m = 0;
-        double sq_sum = 0.0;
-    };
-    const PrefillSums sums = parallelReduceOrdered(
-        0, static_cast<int64_t>(prompt_tokens.size()), 32,
-        PrefillSums{},
-        [&](int64_t begin, int64_t end) {
-            PrefillSums partial;
-            for (int64_t i = begin; i < end; ++i) {
-                const int64_t tokens =
-                    prompt_tokens[static_cast<size_t>(i)];
-                partial.m += tokens;
-                partial.sq_sum += static_cast<double>(tokens) *
-                                  static_cast<double>(tokens);
-            }
-            return partial;
-        },
-        [](PrefillSums acc, const PrefillSums &partial) {
-            acc.m += partial.m;
-            acc.sq_sum += partial.sq_sum;
-            return acc;
-        });
-    const int64_t m = sums.m;
-    const double sq_sum = sums.sq_sum;
+    // A plain loop: a few hundred integer-valued additions cost far
+    // less than a pool dispatch, and the sums are exact.
+    int64_t m = 0;
+    double sq_sum = 0.0;
+    for (const int64_t tokens : prompt_tokens) {
+        m += tokens;
+        sq_sum +=
+            static_cast<double>(tokens) * static_cast<double>(tokens);
+    }
     double total = stepGemmLatencyUs(m);
     // Causal prefill attention: ~L_i^2 * d MACs per layer per head
     // group for each sequence, compute-bound at these lengths.
@@ -414,23 +393,9 @@ ServingEngine::measureThroughputAtBatch(int64_t batch) const
         }
         COMET_SPAN("engine/decode_step");
         const int64_t running = scheduler.runningCount();
-        // Per-request context accounting for the step, fanned out
-        // across the pool (ordered reduction over exact integer
-        // values — identical to the sequential sum).
-        const auto &running_requests = scheduler.running();
-        const double context_sum = parallelReduceOrdered(
-            0, static_cast<int64_t>(running_requests.size()), 32,
-            0.0,
-            [&](int64_t begin, int64_t end) {
-                double partial = 0.0;
-                for (int64_t i = begin; i < end; ++i) {
-                    partial += static_cast<double>(
-                        running_requests[static_cast<size_t>(i)]
-                            .contextTokens());
-                }
-                return partial;
-            },
-            [](double acc, double partial) { return acc + partial; });
+        double context_sum = 0.0;
+        for (const Request &request : scheduler.running())
+            context_sum += static_cast<double>(request.contextTokens());
         const auto mean_context = static_cast<int64_t>(
             context_sum / static_cast<double>(running));
         const double step_us =

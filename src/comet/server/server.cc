@@ -8,7 +8,6 @@
 #include "comet/common/status.h"
 #include "comet/obs/obs.h"
 #include "comet/obs/trace_session.h"
-#include "comet/runtime/thread_pool.h"
 
 namespace comet {
 namespace server {
@@ -496,23 +495,10 @@ Server::stepOnce()
                 scheduler_->running();
             const int64_t batch =
                 static_cast<int64_t>(running.size());
-            // Per-request context accounting fanned out across the
-            // runtime pool (ordered reduction: bit-identical to the
-            // sequential sum for any pool size).
-            const double context_sum = parallelReduceOrdered(
-                0, batch, 32, 0.0,
-                [&](int64_t begin, int64_t end) {
-                    double partial = 0.0;
-                    for (int64_t i = begin; i < end; ++i) {
-                        partial += static_cast<double>(
-                            running[static_cast<size_t>(i)]
-                                .contextTokens());
-                    }
-                    return partial;
-                },
-                [](double acc, double partial) {
-                    return acc + partial;
-                });
+            double context_sum = 0.0;
+            for (const Request &request : running)
+                context_sum +=
+                    static_cast<double>(request.contextTokens());
             const auto mean_context = static_cast<int64_t>(
                 context_sum / static_cast<double>(batch));
             auto gemm_it = gemm_cache_.find(batch);

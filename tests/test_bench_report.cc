@@ -103,7 +103,12 @@ TEST(BenchReport, WriteIfRequestedHonorsLastJsonFlag)
     // Only the last --json= path is written.
     std::ifstream check_first(first);
     EXPECT_FALSE(check_first.good());
-    EXPECT_NE(slurp(last).find("\"bench_flagged\""),
+    const std::string json = slurp(last);
+    EXPECT_NE(json.find("\"bench_flagged\""), std::string::npos);
+    // The bench's wall clock rides along, ungated.
+    EXPECT_NE(json.find("{ \"name\": \"wall_ms\", \"value\": "),
+              std::string::npos);
+    EXPECT_NE(json.find("\"unit\": \"ms\", \"gate\": false"),
               std::string::npos);
     std::remove(last.c_str());
 }

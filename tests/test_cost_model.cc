@@ -5,8 +5,14 @@
  */
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cfloat>
+#include <cmath>
+
 #include "comet/gpusim/cost_model.h"
+#include "comet/model/layer_shapes.h"
 #include "comet/model/llm_config.h"
+#include "comet/obs/metrics.h"
 
 namespace comet {
 namespace {
@@ -243,6 +249,102 @@ TEST(CostModelDeathTest, RejectsEmptyShape)
     EXPECT_DEATH(
         model.estimate({0, 10, 10}, GemmKernelKind::kCublasW16A16),
         "CHECK failed");
+}
+
+/**
+ * estimate() costs COMET tiles with the closed-form scheduler; the
+ * oracle rebuilds the same GEMM's tile list and runs the enumerating
+ * reference on it. They may differ by summation rounding only:
+ * 4 * T * 2^-53 relative for a grid of T tiles (see
+ * test_sm_scheduler.cc).
+ */
+TEST(CostModelClosedForm, MatchesEnumeratingOracleOnLayerShapes)
+{
+    const GemmCostModel model(GpuSpec::a100Sxm480G());
+    const CostModelCalibration &cal = model.calibration();
+    for (const LlmConfig &llm :
+         {LlmConfig::llama3_8b(), LlmConfig::llama2_70b()}) {
+        for (int64_t m : {1, 7, 64, 256, 1000, 4096, 8192}) {
+            for (int64_t tp : {1, 2}) {
+                for (const LayerGemm &gemm : decoderLayerGemms(llm, m)) {
+                    // Megatron sharding, as the serving engine shards.
+                    GemmShape shape = gemm.shape;
+                    if (gemm.name == "qkv_proj" ||
+                        gemm.name == "gate_up_proj" ||
+                        gemm.name == "up_proj")
+                        shape.n /= tp;
+                    else
+                        shape.k /= tp;
+                    for (SchedulingStrategy strategy :
+                         {SchedulingStrategy::kNaiveSync,
+                          SchedulingStrategy::kBarrierMinimized,
+                          SchedulingStrategy::kTileRemapping,
+                          SchedulingStrategy::kTaskStealing}) {
+                        CometKernelFeatures features;
+                        features.scheduling = strategy;
+                        features.w4a4_fraction = 0.84;
+                        const GemmTileGrid grid =
+                            model.cometTileGrid(shape, features);
+                        const std::vector<TileWork> tiles =
+                            buildGemmTiles(
+                                shape.m, shape.n, shape.k, cal.tile_m,
+                                cal.tile_n, cal.tile_k,
+                                grid.k_tile_precisions, cal.tile_k,
+                                grid.int4_tile_us, grid.int8_tile_us);
+                        const ScheduleResult oracle = scheduleTiles(
+                            tiles, model.schedulerConfig(), strategy);
+                        const double oracle_compute =
+                            oracle.makespan +
+                            static_cast<double>(oracle.barriers) *
+                                cal.barrier_us;
+                        const KernelCost cost = model.estimate(
+                            shape, GemmKernelKind::kCometW4Ax, features);
+                        const double rel_tol =
+                            4.0 * static_cast<double>(tiles.size()) *
+                            DBL_EPSILON / 2.0;
+                        const std::string label =
+                            llm.name + " " + gemm.name + " m=" +
+                            std::to_string(m) +
+                            " tp=" + std::to_string(tp) + " " +
+                            schedulingStrategyName(strategy);
+                        EXPECT_LE(
+                            std::abs(cost.compute_us - oracle_compute),
+                            rel_tol * oracle_compute)
+                            << label;
+                        EXPECT_LE(std::abs(cost.sm_utilization -
+                                           oracle.utilization()),
+                                  rel_tol * oracle.utilization())
+                            << label;
+                        const double oracle_total =
+                            cost.launch_us +
+                            std::max({cost.memory_us, cost.convert_us,
+                                      oracle_compute});
+                        EXPECT_LE(std::abs(cost.total_us - oracle_total),
+                                  rel_tol * oracle_total)
+                            << label;
+                    }
+                }
+            }
+        }
+    }
+}
+
+TEST(CostModelClosedForm, EstimateCountsEveryCometTile)
+{
+    // One COMET estimate advances gpusim.tiles_scheduled by the
+    // GEMM's m_tiles * n_tiles * k_tiles, as enumerating them did;
+    // the uniform-precision kernels schedule no tiles.
+    const GemmCostModel model(GpuSpec::a100Sxm480G());
+    obs::Counter &counter = obs::MetricsRegistry::global().counter(
+        "gpusim.tiles_scheduled");
+    const GemmShape shape{300, 14336, 4096};
+    int64_t before = counter.value();
+    model.estimate(shape, GemmKernelKind::kCometW4Ax);
+    EXPECT_EQ(counter.value() - before, 3 * 112 * 32);
+    before = counter.value();
+    model.estimate(shape, GemmKernelKind::kCublasW16A16);
+    model.estimate(shape, GemmKernelKind::kQserveW4A8);
+    EXPECT_EQ(counter.value() - before, 0);
 }
 
 /** Sweep every paper model x batch: invariants that must hold for

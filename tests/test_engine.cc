@@ -7,6 +7,8 @@
 #include <gtest/gtest.h>
 
 #include "comet/kvcache/kv_cache.h"
+#include "comet/model/layer_shapes.h"
+#include "comet/obs/metrics.h"
 #include "comet/serve/engine.h"
 
 namespace comet {
@@ -151,6 +153,39 @@ TEST(ServingEngine, ThroughputResultFieldsPopulated)
     EXPECT_GT(result.decode_step_us, 0.0);
     EXPECT_GT(result.prefill_us, 0.0);
     EXPECT_GT(result.kv_bytes_per_seq, 0.0);
+}
+
+TEST(ServingEngine, ThroughputRunCountsTheTilesOfEveryCostedGemm)
+{
+    // A batch that fits at once is prefilled in one wave and then
+    // decodes at a constant batch, so the run costs the decoder GEMMs
+    // at exactly two token counts (the decode cost is memoized per
+    // batch). gpusim.tiles_scheduled must advance by those GEMMs'
+    // m_tiles * n_tiles * k_tiles; the FP16 LM head schedules none.
+    constexpr int64_t kBatch = 4;
+    const EngineConfig config =
+        makeConfig(LlmConfig::llama2_7b(), ServingMode::kCometW4AxKv4,
+                   /*input=*/96, /*output=*/8);
+    const ServingEngine engine(config);
+    const GemmCostModel model(config.gpu, config.calibration);
+    const CostModelCalibration &cal = model.calibration();
+    int64_t expected = 0;
+    for (int64_t m : {kBatch * config.input_tokens, kBatch}) {
+        for (const LayerGemm &gemm : decoderLayerGemms(config.model, m)) {
+            const GemmShape &shape = gemm.shape;
+            expected += ((shape.m + cal.tile_m - 1) / cal.tile_m) *
+                        ((shape.n + cal.tile_n - 1) / cal.tile_n) *
+                        ((shape.k + cal.tile_k - 1) / cal.tile_k);
+        }
+    }
+    obs::Counter &counter = obs::MetricsRegistry::global().counter(
+        "gpusim.tiles_scheduled");
+    const int64_t before = counter.value();
+    const ThroughputResult result =
+        engine.measureThroughputAtBatch(kBatch);
+    EXPECT_EQ(result.peak_batch, kBatch);
+    EXPECT_EQ(result.preemptions, 0);
+    EXPECT_EQ(counter.value() - before, expected);
 }
 
 TEST(ServingEngine, ZeroBatchYieldsZeroThroughput)

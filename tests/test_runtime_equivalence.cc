@@ -347,6 +347,9 @@ TEST(RuntimeEquivalence, QuantizedDecoderEndToEnd)
     expectBitEqual(narrow, wide, "decoder prefill logits");
 }
 
+/** The engine's per-request prefill and context sums are plain loops
+ * (a pool dispatch costs more than the sum), so nothing in a
+ * throughput run depends on the pool size; this pins that down. */
 TEST(RuntimeEquivalence, ServingEnginePerRequestFanOut)
 {
     auto measure = [] {
