@@ -109,6 +109,15 @@ runClusterSession(const ServingEngine &engine,
     return report;
 }
 
+/** Step-GEMM memo misses (distinct token counts costed) since the
+ * registry's last reset — each session resets it at its start. */
+int64_t
+gemmMemoMisses()
+{
+    return obs::MetricsRegistry::global().counterValue(
+        "serve.step.gemm_memo_misses");
+}
+
 /** The bare-Server baseline the 1-replica cluster must match. */
 LoadgenReport
 runBareSession(const ServingEngine &engine,
@@ -225,10 +234,12 @@ main(int argc, char **argv)
     // Baselines: the bare server and the 1-replica cluster must be
     // indistinguishable (the router adds placement, not behavior).
     const LoadgenReport bare = runBareSession(engine, workload);
+    int64_t memo_misses = gemmMemoMisses();
     ClusterStats one_stats;
     const LoadgenReport one =
         runClusterSession(engine, workload, 1, policies[0],
                           &one_stats);
+    memo_misses += gemmMemoMisses();
     check(sameTokenStreams(bare, one),
           "1-replica cluster streams token-identical outcomes to a "
           "bare server");
@@ -264,6 +275,7 @@ main(int argc, char **argv)
         ClusterStats stats;
         const LoadgenReport scaled = runClusterSession(
             engine, workload, kReplicas, policy, &stats);
+        memo_misses += gemmMemoMisses();
         check(sameTokenStreams(bare, scaled),
               "scale-out preserves every terminal and token count");
         int replicas_used = 0;
@@ -338,6 +350,7 @@ main(int argc, char **argv)
             ClusterStats again_stats;
             const LoadgenReport again = runClusterSession(
                 engine, workload, kReplicas, policy, &again_stats);
+            memo_misses += gemmMemoMisses();
             check(renderClusterLoadgenReport(again, kReplicas) ==
                       rendered_example,
                   "back-to-back cluster runs render identical "
@@ -355,6 +368,7 @@ main(int argc, char **argv)
     // into the cluster-level view.
     std::vector<TraceMetrics> parts;
     size_t part_requests = 0;
+    const int64_t misses_before_replay = gemmMemoMisses();
     for (int r = 0; r < kReplicas; ++r) {
         TraceConfig trace_config;
         trace_config.seed = deriveReplicaSeed(seed, r);
@@ -366,6 +380,7 @@ main(int argc, char **argv)
         parts.push_back(part);
     }
     const TraceMetrics merged = mergeTraceMetrics(parts);
+    memo_misses += gemmMemoMisses() - misses_before_replay;
     check(merged.per_request.size() == part_requests,
           "the rollup keeps every per-replica latency record");
     std::printf("sharded trace rollup: %zu requests, "
@@ -379,6 +394,10 @@ main(int argc, char **argv)
     report.addMetric("merged_trace_peak_kv_utilization",
                      merged.peak_kv_utilization, "fraction", false,
                      false);
+    // Simulator work: every memo miss is one full-model GEMM costing.
+    report.addMetric("serve.step.gemm_memo_misses",
+                     static_cast<double>(memo_misses), "count",
+                     /*gate=*/true, /*higher_is_better=*/false);
     report.writeIfRequested(argc, argv);
 
     if (failures > 0) {

@@ -103,7 +103,7 @@ BatchScheduler::admit()
             cache_->totalBlocks()) {
             head.state = RequestState::kRejected;
             ++counters_.rejected;
-            retire(head);
+            retired_.push_back(head);
             queue_.pop_front();
             continue;
         }
@@ -175,8 +175,7 @@ BatchScheduler::admit()
         queue_.pop_front();
         ++admitted;
         ++counters_.admitted;
-        if (config_.prefill_emits_token &&
-            config_.chunk_tokens <= 0) {
+        if (config_.chunk_tokens <= 0) {
             // The prefill forward pass produces this request's next
             // output token (TTFT accounting); a request completed by
             // that token retires without entering the decode batch.
@@ -197,7 +196,7 @@ BatchScheduler::admit()
                             fresh.max_output_tokens) -
                         cache_->blocksForTokens(prefill_tokens);
                 }
-                retire(fresh);
+                retired_.push_back(fresh);
                 running_.pop_back();
             }
         }
@@ -321,8 +320,6 @@ BatchScheduler::runChunks(const StepPlan &plan,
         // This step costed the request as a prefill chunk; it joins
         // the decode set on the *next* step.
         completed->push_back(request->id);
-        if (!config_.prefill_emits_token)
-            continue;
         // The final chunk's forward pass produces the request's next
         // output token — the same credit monolithic admission grants
         // (TTFT accounting), without a cache append.
@@ -332,7 +329,7 @@ BatchScheduler::runChunks(const StepPlan &plan,
             request->state = RequestState::kFinished;
             cache_->removeSequence(request->id);
             ++finished_;
-            retire(*request);
+            retired_.push_back(*request);
             for (auto it = running_.begin(); it != running_.end();
                  ++it) {
                 if (it->id == request->id) {
@@ -397,7 +394,7 @@ BatchScheduler::step()
             request.state = RequestState::kFinished;
             cache_->removeSequence(request.id);
             ++finished_;
-            retire(request);
+            retired_.push_back(request);
         } else {
             still_running.push_back(request);
         }
@@ -414,7 +411,7 @@ BatchScheduler::cancel(int64_t id)
     for (auto it = queue_.begin(); it != queue_.end(); ++it) {
         if (it->id == id) {
             it->state = RequestState::kCancelled;
-            retire(*it);
+            retired_.push_back(*it);
             queue_.erase(it);
             ++counters_.cancelled;
             return Status::ok();
@@ -424,7 +421,7 @@ BatchScheduler::cancel(int64_t id)
         if (it->id == id) {
             cache_->removeSequence(id);
             it->state = RequestState::kCancelled;
-            retire(*it);
+            retired_.push_back(*it);
             running_.erase(it);
             ++counters_.cancelled;
             return Status::ok();
@@ -440,13 +437,6 @@ BatchScheduler::drainRetired()
     std::vector<Request> drained;
     drained.swap(retired_);
     return drained;
-}
-
-void
-BatchScheduler::retire(const Request &request)
-{
-    if (config_.collect_retired)
-        retired_.push_back(request);
 }
 
 double

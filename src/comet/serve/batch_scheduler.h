@@ -28,6 +28,14 @@
  * running alone are rejected at admission (graceful degradation)
  * instead of blocking the FCFS head forever.
  *
+ * The prefill's forward pass produces a request's next output token,
+ * so admission credits every admitted request with one generated
+ * token (TTFT accounting); a request whose credit completes it (a
+ * one-token generation) retires at admission without entering the
+ * decode batch. Every request that reaches a terminal state
+ * (finished, rejected, cancelled) is retained with its final token
+ * counts until the caller collects it through drainRetired().
+ *
  * ## Chunked prefill (DESIGN.md §14)
  *
  * With BatchSchedulerConfig::chunk_tokens > 0, admission still
@@ -79,32 +87,12 @@ struct BatchSchedulerConfig {
      * preemptions. Ignored by kReserveFullOutput. */
     int64_t watermark_blocks = 0;
     /**
-     * When true, admission itself credits every admitted request with
-     * one generated token: the prefill forward pass produces the
-     * request's next output token, the same accounting replayTrace
-     * uses for TTFT. A request whose crediting completes it (e.g. a
-     * one-token generation) retires at admission without ever
-     * entering the decode batch. Off by default — the offline
-     * throughput path counts tokens purely through step().
-     */
-    bool prefill_emits_token = false;
-    /**
-     * When true, every request that reaches a terminal state
-     * (finished, rejected, cancelled) is retained — with its final
-     * token counts and state — until the caller collects it via
-     * drainRetired(). Event-driven callers (the online server) need
-     * the terminal transitions to deliver stream completions; the
-     * offline paths leave this off and only read the counters.
-     */
-    bool collect_retired = false;
-    /**
      * Chunked prefill: process at most this many prefill tokens per
      * request per step, interleaved with decode (see the file
      * comment). 0 (the default) keeps monolithic prefill — the whole
-     * context is considered processed at admission, exactly the
-     * pre-chunking behavior. With chunking on, prefill_emits_token's
-     * first-token credit moves from admit() to the step() that
-     * completes a request's final chunk.
+     * context is considered processed at admission. With chunking on,
+     * the first-token credit (see BatchScheduler) moves from admit()
+     * to the step() that completes a request's final chunk.
      */
     int64_t chunk_tokens = 0;
     /**
@@ -185,9 +173,7 @@ struct SchedulerCounters {
      * twice accumulates). */
     void publishTo(obs::MetricsRegistry &registry) const;
 
-    /** Zeroes every counter. Engine runs and server sessions call
-     * this at start so two back-to-back runs report identical
-     * numbers instead of accumulating across runs. */
+    /** Zeroes every counter. */
     void reset();
 };
 
@@ -225,8 +211,8 @@ class BatchScheduler
      * boundary runs the `sched.chunk` failpoint (a fired point drops
      * that chunk for this step; it is re-planned next step) — then
      * decodes the decode set. A request whose final chunk completes
-     * receives its prefill_emits_token first-token credit here, and
-     * retires immediately when that credit completes it.
+     * receives its first-token credit here, and retires immediately
+     * when that credit completes it.
      */
     int64_t step();
 
@@ -254,15 +240,16 @@ class BatchScheduler
     const SchedulerCounters &counters() const { return counters_; }
 
     /** Re-zeroes the observability counters (see
-     * SchedulerCounters::reset). Called at the start of every engine
-     * run and server session. */
+     * SchedulerCounters::reset), starting a new measurement window
+     * on a scheduler that keeps its queue and batch. */
     void resetCounters() { counters_.reset(); }
 
     /**
      * Returns (and clears) the requests that reached a terminal
      * state — kFinished, kRejected or kCancelled — since the last
-     * call, in the order they retired. Always empty unless
-     * BatchSchedulerConfig::collect_retired is set.
+     * call, in the order they retired. Terminal requests accumulate
+     * until drained, so long-running callers drain after every
+     * admit(), step() and cancel().
      */
     std::vector<Request> drainRetired();
 
@@ -306,14 +293,11 @@ class BatchScheduler
     /** Updates the peak-observability counters. */
     void notePeaks();
 
-    /** Records a terminal request for drainRetired() when
-     * collect_retired is on. */
-    void retire(const Request &request);
-
     PagedKvCache *cache_;
     BatchSchedulerConfig config_;
     std::deque<Request> queue_;
     std::vector<Request> running_;
+    /** Terminal requests not yet drained (see drainRetired()). */
     std::vector<Request> retired_;
     int64_t finished_ = 0;
     SchedulerCounters counters_;

@@ -2,15 +2,12 @@
 
 #include <algorithm>
 #include <cmath>
-#include <map>
 
 #include "comet/chaos/failpoint.h"
 #include "comet/kvcache/kv_cache.h"
 #include "comet/model/layer_shapes.h"
 #include "comet/obs/metrics.h"
-#include "comet/obs/obs.h"
-#include "comet/obs/trace_session.h"
-#include "comet/serve/batch_scheduler.h"
+#include "comet/serve/step_core.h"
 #include "comet/tp/interconnect.h"
 
 namespace comet {
@@ -194,7 +191,7 @@ ServingEngine::maxBatchSize() const
 }
 
 double
-ServingEngine::stepGemmLatencyUs(int64_t m_tokens) const
+ServingEngine::gemmLatencyUs(int64_t m_tokens) const
 {
     const auto tp = static_cast<int64_t>(config_.tensor_parallel);
     double per_layer = 0.0;
@@ -230,8 +227,8 @@ ServingEngine::stepGemmLatencyUs(int64_t m_tokens) const
 }
 
 double
-ServingEngine::attentionLatencyUs(int64_t batch,
-                                  int64_t context_tokens) const
+ServingEngine::attentionReadLatencyUs(int64_t batch,
+                                      int64_t context_tokens) const
 {
     // Memory-bound act-act operator (Figure 2): the decode step
     // streams this GPU's shard of every running sequence's KV cache
@@ -249,25 +246,12 @@ ServingEngine::attentionLatencyUs(int64_t batch,
 }
 
 double
-ServingEngine::gemmLatencyUs(int64_t m_tokens) const
-{
-    return stepGemmLatencyUs(m_tokens);
-}
-
-double
-ServingEngine::attentionReadLatencyUs(int64_t batch,
-                                      int64_t context_tokens) const
-{
-    return attentionLatencyUs(batch, context_tokens);
-}
-
-double
 ServingEngine::decodeStepLatencyUs(int64_t batch,
                                    int64_t context_tokens) const
 {
     COMET_CHECK(batch > 0);
-    return stepGemmLatencyUs(batch) +
-           attentionLatencyUs(batch, context_tokens);
+    return gemmLatencyUs(batch) +
+           attentionReadLatencyUs(batch, context_tokens);
 }
 
 double
@@ -292,7 +276,7 @@ ServingEngine::prefillLatencyUs(
         sq_sum +=
             static_cast<double>(tokens) * static_cast<double>(tokens);
     }
-    double total = stepGemmLatencyUs(m);
+    double total = gemmLatencyUs(m);
     // Causal prefill attention: ~L_i^2 * d MACs per layer per head
     // group for each sequence, compute-bound at these lengths.
     const double attn_ops =
@@ -314,125 +298,46 @@ ServingEngine::measureThroughput() const
 ThroughputResult
 ServingEngine::measureThroughputAtBatch(int64_t batch) const
 {
-    obs::configureFromEnv();
-    COMET_SPAN("engine/measure");
     ThroughputResult result;
     if (batch <= 0)
         return result;
-
-    KvCacheConfig cache_config;
-    cache_config.bits_per_value = precision_.kv_bits;
-    cache_config.block_tokens = config_.kv_block_tokens;
-    cache_config.memory_budget_bytes =
-        std::max(kvPoolBytes(),
-                 1.0); // pinned-batch runs may exceed the auto budget
-    PagedKvCache cache(config_.model, cache_config);
-
-    BatchSchedulerConfig sched_config;
-    sched_config.max_batch = batch;
-    sched_config.admission = config_.admission;
-    sched_config.watermark_blocks = config_.kv_watermark_blocks;
-    BatchScheduler scheduler(&cache, sched_config);
-    // Every run starts its counters from zero — the published
-    // per-run numbers must be identical for identical back-to-back
-    // runs, never an accumulation across them.
-    scheduler.resetCounters();
+    std::vector<OfflineArrival> arrivals(static_cast<size_t>(batch));
     for (int64_t i = 0; i < batch; ++i) {
-        Request request;
+        Request &request = arrivals[static_cast<size_t>(i)].request;
         request.id = i;
         request.prompt_tokens = config_.input_tokens;
         request.max_output_tokens =
             std::max(config_.output_tokens,
                      config_.declared_output_tokens);
         request.eos_output_tokens = config_.output_tokens;
-        scheduler.submit(request);
     }
-
-    // The decode GEMM cost only depends on the running batch size;
-    // cache it across steps.
-    std::map<int64_t, double> gemm_cache;
-    auto cached_gemm = [&](int64_t m) {
-        auto it = gemm_cache.find(m);
-        if (it == gemm_cache.end())
-            it = gemm_cache.emplace(m, stepGemmLatencyUs(m)).first;
-        return it->second;
-    };
-
-    double total_us = 0.0;
-    int64_t generated = 0;
-    double decode_us_sum = 0.0;
-    int64_t decode_steps = 0;
-    double batch_sum = 0.0;
-    double util_sum = 0.0;
-    while (!scheduler.idle()) {
-        COMET_SPAN("engine/step");
-        int64_t admitted = 0;
-        {
-            COMET_SPAN("engine/admit");
-            admitted = scheduler.admit();
-        }
-        if (admitted > 0) {
-            COMET_SPAN("engine/prefill");
-            // Charge the admitted wave's real (re)prefill footprint:
-            // preempted requests recompute prompt + generated.
-            std::vector<int64_t> prefill_tokens;
-            prefill_tokens.reserve(static_cast<size_t>(admitted));
-            const auto &running_now = scheduler.running();
-            for (size_t i = running_now.size() -
-                            static_cast<size_t>(admitted);
-                 i < running_now.size(); ++i) {
-                prefill_tokens.push_back(
-                    running_now[i].contextTokens());
-            }
-            result.prefill_us = prefillLatencyUs(prefill_tokens);
-            total_us += result.prefill_us;
-        }
-        if (scheduler.runningCount() == 0) {
-            // Nothing fits — the workload cannot be served.
-            break;
-        }
-        COMET_SPAN("engine/decode_step");
-        const int64_t running = scheduler.runningCount();
-        double context_sum = 0.0;
-        for (const Request &request : scheduler.running())
-            context_sum += static_cast<double>(request.contextTokens());
-        const auto mean_context = static_cast<int64_t>(
-            context_sum / static_cast<double>(running));
-        const double step_us =
-            cached_gemm(running) +
-            attentionLatencyUs(running, mean_context);
-        total_us += step_us;
-        decode_us_sum += step_us;
-        ++decode_steps;
-        batch_sum += static_cast<double>(running);
-        util_sum += scheduler.kvUtilization();
-        generated += scheduler.step();
-    }
+    // Pinned-batch runs may exceed the auto budget, so the pool is
+    // the whole aggregate one, not maxBatchSize()'s share of it.
+    const OfflineRun run =
+        runOffline(*this, arrivals, batch, kvPoolBytes());
 
     result.batch = batch;
-    const SchedulerCounters &counters = scheduler.counters();
+    result.prefill_us = run.last_prefill_us;
+    const SchedulerCounters &counters = run.counters;
     result.peak_batch = counters.peak_running;
     result.preemptions = counters.preemptions;
     result.reprefill_tokens = counters.reprefill_tokens;
-    if (decode_steps > 0) {
-        result.mean_batch =
-            batch_sum / static_cast<double>(decode_steps);
-        result.mean_kv_utilization =
-            util_sum / static_cast<double>(decode_steps);
+    if (run.steps > 0) {
+        const auto steps = static_cast<double>(run.steps);
+        result.mean_batch = run.running_sum / steps;
+        result.mean_kv_utilization = run.kv_util_sum / steps;
+        result.decode_step_us = run.step_us_sum / steps;
     }
     result.peak_kv_utilization =
-        counters.peakKvUtilization(cache.totalBlocks());
+        counters.peakKvUtilization(run.total_kv_blocks);
     counters.publishTo(obs::MetricsRegistry::global());
     result.kv_bytes_per_seq = config_.model.kvBytesPerSequence(
         config_.input_tokens + config_.output_tokens,
         precision_.kv_bits);
-    if (total_us > 0.0 && generated > 0) {
+    if (run.makespan_us > 0.0 && run.generated_tokens > 0) {
         result.tokens_per_second =
-            static_cast<double>(generated) / (total_us * 1e-6);
-        result.decode_step_us =
-            decode_steps > 0 ? decode_us_sum /
-                                   static_cast<double>(decode_steps)
-                             : 0.0;
+            static_cast<double>(run.generated_tokens) /
+            (run.makespan_us * 1e-6);
     }
     return result;
 }

@@ -8,8 +8,8 @@
  * under the 80 GB budget), the continuous-batching scheduler, and the
  * GEMM cost model (per-step latency). Throughput is measured by
  * simulating full prefill+decode generations, step by step, through
- * the real scheduler — exactly the quantity the paper's end-to-end
- * evaluation reports.
+ * the real scheduler (the step core, serve/step_core.h) — exactly
+ * the quantity the paper's end-to-end evaluation reports.
  */
 #pragma once
 
@@ -73,11 +73,15 @@ struct EngineConfig {
     double usable_memory_fraction = 0.90;
     /** KV page size in tokens. */
     int64_t kv_block_tokens = 16;
-    /** When > 0, trace replay processes prompts in chunks of this
-     * many tokens, interleaved with decode iterations of the running
-     * batch (Sarathi-Serve-style chunked prefill; the scheduling
-     * integration the paper's Section 7 points at). 0 = stall-free
-     * whole-prompt prefill. */
+    /** When > 0, the offline runs (trace replay and the throughput
+     * measurement) prefill in chunks: each prefilling request
+     * processes at most this many prompt tokens per step, fused with
+     * the decode batch, and chunks are taken in deadline order (FCFS,
+     * since offline requests carry no deadline) with no per-step
+     * token budget (Sarathi-Serve-style chunked prefill, the
+     * scheduling integration the paper's Section 7 points at; see
+     * BatchSchedulerConfig::chunk_tokens). 0 = whole-prompt prefill
+     * at admission. */
     int64_t chunked_prefill_tokens = 0;
     /** Tensor-parallel degree (Megatron-style sharding): weights, KV
      * heads and GEMM extents split across this many identical GPUs;
@@ -176,34 +180,30 @@ class ServingEngine
     double prefillLatencyUs(
         const std::vector<int64_t> &prompt_tokens) const;
 
-    /** GEMM-only latency of processing @p m_tokens tokens through one
-     * decode step's linear layers (exposed for chunked prefill). */
+    /** Latency of one step's GEMMs over @p m_tokens tokens: every
+     * decoder layer's linear layers, the FP16 LM head and (at TP > 1)
+     * the step's all-reduces. */
     double gemmLatencyUs(int64_t m_tokens) const;
 
-    /** Memory-bound attention time for @p batch sequences with mean
-     * context @p context_tokens (exposed for chunked prefill). */
+    /** Memory-bound attention read of @p batch sequences at mean
+     * context @p context_tokens (this GPU's KV shard of each). */
     double attentionReadLatencyUs(int64_t batch,
                                   int64_t context_tokens) const;
 
-    /**
-     * Simulates serving `batches * batch` requests of the configured
-     * shape through the continuous-batching scheduler and returns the
-     * steady-state throughput at the engine's maximum batch size.
-     */
+    /** Throughput at the engine's maximum batch size
+     * (measureThroughputAtBatch(maxBatchSize())). */
     ThroughputResult measureThroughput() const;
 
-    /** Throughput when the batch is pinned to @p batch (Figure 11). */
+    /**
+     * Throughput when the batch is pinned to @p batch (Figure 11):
+     * @p batch requests of the configured shape, all arriving at
+     * t = 0, served to completion by the offline loop (runOffline
+     * in serve/step_core.h) over the aggregate KV pool with at most
+     * @p batch running.
+     */
     ThroughputResult measureThroughputAtBatch(int64_t batch) const;
 
   private:
-    /** Sum of kernel latencies of all decoder-layer GEMMs plus the
-     * attention and LM-head contributions for one step. */
-    double stepGemmLatencyUs(int64_t m_tokens) const;
-
-    /** Memory-bound attention (act-act) time for one decode step. */
-    double attentionLatencyUs(int64_t batch,
-                              int64_t context_tokens) const;
-
     EngineConfig config_;
     ServingPrecision precision_;
     GemmCostModel cost_model_;

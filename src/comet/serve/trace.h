@@ -7,14 +7,18 @@
  * (TTFT) and time-per-output-token (TPOT) under bursty arrivals — the
  * scheduling-integration direction Section 7 points at (Sarathi-Serve,
  * DistServe). This module adds that dimension: a Poisson arrival
- * generator with length distributions, a trace-driven simulation loop
- * over the engine's step model, and percentile latency metrics.
+ * generator with length distributions, trace replay, and percentile
+ * latency metrics.
  *
- * The replay honors the engine's admission policy: under optimistic
- * admission, KV exhaustion mid-decode preempts the latest-arrived
- * running requests (recompute-style — they re-prefill on
- * re-admission), and the preemption/requeue work is surfaced in the
- * metrics. Requests may also carry a client-cancellation deadline.
+ * Replay is the offline loop of the step core (serve/step_core.h)
+ * on the trace: the same BatchScheduler, prefill charge and step cost
+ * the online Server uses, so a one-tenant Server on the same trace
+ * gives every request the same TTFT and TPOT. It honors the engine's
+ * admission policy: under optimistic admission, KV exhaustion
+ * mid-decode preempts the latest-arrived running requests
+ * (recompute-style — they re-prefill on re-admission), and the
+ * preemption/requeue work is surfaced in the metrics. Requests may
+ * also carry a client-cancellation deadline.
  */
 #pragma once
 
@@ -120,12 +124,17 @@ struct TraceMetrics {
 };
 
 /**
- * Replays a trace through the serving engine: a discrete-event loop
- * where each iteration admits newly arrived requests (subject to KV
- * capacity and the batch cap), then advances every running request by
- * one token at the engine's modeled step latency. Prefill waves are
- * charged at the admitted requests' actual prompt lengths, and the
- * prefill itself produces each request's first output token.
+ * Replays a trace through the serving engine with runOffline: each
+ * iteration submits the arrived requests in trace order, drops
+ * abandoned ones, admits while KV capacity and the batch cap allow,
+ * charges a monolithic wave's prefill at the admitted requests'
+ * actual (re)prefill lengths — the prefill itself produces each
+ * request's next token — and then runs one fused step at its
+ * StepCost. With EngineConfig::chunked_prefill_tokens > 0 the
+ * prefill is instead chunked per request, FCFS, fused with decode.
+ * The KV pool is the engine's per-GPU kvBudgetBytes(), not the
+ * aggregate kvPoolBytes() (at TP > 1 the replay runs with 1/tp of
+ * the group's pool). Per-request records come in completion order.
  */
 TraceMetrics replayTrace(const ServingEngine &engine,
                          const std::vector<TracedRequest> &trace);

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <mutex>
+#include <optional>
 #include <utility>
 
 #include "comet/chaos/failpoint.h"
@@ -63,16 +64,10 @@ Server::Server(const ServingEngine *engine, ServerConfig config)
     sched_config.max_batch = config_.max_batch;
     sched_config.admission = config_.admission;
     sched_config.watermark_blocks = config_.kv_watermark_blocks;
-    // Online accounting: the prefill forward pass produces the first
-    // token (TTFT), and terminal transitions must surface as stream
-    // events rather than bare counters.
-    sched_config.prefill_emits_token = true;
-    sched_config.collect_retired = true;
     sched_config.chunk_tokens = config_.chunked_prefill_tokens;
     sched_config.step_token_budget = config_.step_token_budget;
-    scheduler_ =
-        std::make_unique<BatchScheduler>(cache_.get(), sched_config);
-    scheduler_->resetCounters();
+    core_ = std::make_unique<StepCore>(*engine_, cache_.get(),
+                                       sched_config);
 
     fair_ = std::make_unique<FairAdmissionQueue>(config_.tenants);
 
@@ -339,15 +334,15 @@ Server::rejectPending(PendingRequest &&pending, RejectReason reason)
 void
 Server::injectFromFairQueue()
 {
-    COMET_SPAN("server/admit");
+    COMET_SPAN("step/admit");
     for (;;) {
-        scheduler_->admit();
+        scheduler().admit();
         // Preempted (or previously injected) work waiting on KV
         // capacity keeps strict priority: nothing new is injected
         // behind a blocked head.
-        if (scheduler_->queuedCount() > 0)
+        if (scheduler().queuedCount() > 0)
             break;
-        if (scheduler_->runningCount() >= config_.max_batch)
+        if (scheduler().runningCount() >= config_.max_batch)
             break;
         PendingRequest next;
         std::vector<PendingRequest> expired;
@@ -379,7 +374,7 @@ Server::injectFromFairQueue()
             request.prefix_block_keys =
                 std::move(next.prefix_block_keys);
         }
-        scheduler_->submit(request);
+        scheduler().submit(request);
     }
 }
 
@@ -398,7 +393,7 @@ Server::stepOnce()
     // submission landing while the gate is held bounces back to the
     // outer loop, which ingests it and re-plans (it may be earlier
     // than the current target).
-    if (scheduler_->idle() && fair_->empty()) {
+    if (scheduler().idle() && fair_->empty()) {
         if (arrival_order_.empty())
             return true;
         const double next_us = arrival_order_.begin()->first;
@@ -420,103 +415,30 @@ Server::stepOnce()
         processDueCancels();
     }
 
-    // Admission happens at the current virtual time. Monolithic
-    // mode charges the admitted wave's whole (re)prefill before any
-    // token is visible; chunked mode defers all prefill compute to
-    // the fused per-step plan below.
-    const bool chunked = config_.chunked_prefill_tokens > 0;
-    const size_t running_before = scheduler_->running().size();
+    // Admission happens at the current virtual time; a monolithic
+    // wave's prefill is charged before any of its tokens is visible.
+    const size_t running_before = scheduler().running().size();
     injectFromFairQueue();
-    std::vector<int64_t> prefill_tokens;
-    if (!chunked) {
-        const std::vector<Request> &running = scheduler_->running();
-        for (size_t i = running_before; i < running.size(); ++i) {
-            // generated_tokens already includes the credited first
-            // token; the forward pass recomputes everything before
-            // it (prompt plus pre-preemption progress) *minus* the
-            // tokens whose KV the prefix cache grafted — TTFT
-            // honestly reflects the skipped work, in both directions.
-            prefill_tokens.push_back(running[i].contextTokens() - 1 -
-                                     running[i].prefix_matched_tokens);
-        }
-    }
-    std::vector<Request> admit_retired = scheduler_->drainRetired();
-    for (const Request &request : admit_retired) {
-        // One-token generations retire at admission but still ran
-        // their (possibly graft-shortened) prefill. (Chunked mode
-        // never credits at admission, so nothing retires kFinished
-        // here.)
-        if (!chunked && request.state == RequestState::kFinished)
-            prefill_tokens.push_back(request.contextTokens() - 1 -
-                                     request.prefix_matched_tokens);
-    }
-    if (!prefill_tokens.empty()) {
-        COMET_SPAN("server/prefill");
-        const double prefill_us =
-            engine_->prefillLatencyUs(prefill_tokens);
-        if (!commitClock(clock_ + prefill_us))
+    const std::vector<Request> admit_retired =
+        scheduler().drainRetired();
+    if (const std::optional<double> prefill_us =
+            core_->prefillUs(running_before, admit_retired)) {
+        COMET_SPAN("step/prefill");
+        if (!commitClock(clock_ + *prefill_us))
             return false;
     }
     deliverRunningProgress();
     deliverRetired(admit_retired);
 
-    if (scheduler_->runningCount() > 0) {
-        COMET_SPAN("server/decode");
-        double step_us = 0.0;
-        if (chunked) {
-            // Fused-step costing from the scheduler's deterministic
-            // plan: one GEMM over decode + chunk tokens, the decode
-            // batch's attention read, and each chunk's attention
-            // over its request's growing KV prefix — the same model
-            // replayTrace charges.
-            const StepPlan plan = scheduler_->planStep();
-            const int64_t gemm_tokens = plan.gemmTokens();
-            COMET_CHECK(gemm_tokens > 0);
-            auto gemm_it = gemm_cache_.find(gemm_tokens);
-            if (gemm_it == gemm_cache_.end()) {
-                gemm_it =
-                    gemm_cache_
-                        .emplace(gemm_tokens,
-                                 engine_->gemmLatencyUs(gemm_tokens))
-                        .first;
-            }
-            step_us = gemm_it->second;
-            if (plan.decode_batch > 0) {
-                step_us += engine_->attentionReadLatencyUs(
-                    plan.decode_batch,
-                    plan.decode_context_sum / plan.decode_batch);
-            }
-            for (const PlannedChunk &chunk : plan.chunks) {
-                step_us += engine_->attentionReadLatencyUs(
-                    1, std::max<int64_t>(chunk.context_after, 1));
-            }
-        } else {
-            const std::vector<Request> &running =
-                scheduler_->running();
-            const int64_t batch =
-                static_cast<int64_t>(running.size());
-            double context_sum = 0.0;
-            for (const Request &request : running)
-                context_sum +=
-                    static_cast<double>(request.contextTokens());
-            const auto mean_context = static_cast<int64_t>(
-                context_sum / static_cast<double>(batch));
-            auto gemm_it = gemm_cache_.find(batch);
-            if (gemm_it == gemm_cache_.end()) {
-                gemm_it = gemm_cache_
-                              .emplace(batch,
-                                       engine_->gemmLatencyUs(batch))
-                              .first;
-            }
-            step_us =
-                gemm_it->second +
-                engine_->attentionReadLatencyUs(batch, mean_context);
-        }
-        if (!commitClock(clock_ + step_us))
+    if (scheduler().runningCount() > 0) {
+        COMET_SPAN("step/decode");
+        const StepCost cost =
+            core_->stepCost(scheduler().planStep());
+        if (!commitClock(clock_ + cost.total_us))
             return false;
-        scheduler_->step();
+        scheduler().step();
         deliverRunningProgress();
-        deliverRetired(scheduler_->drainRetired());
+        deliverRetired(scheduler().drainRetired());
     }
     return true;
 }
@@ -542,7 +464,7 @@ Server::emitTokens(LiveRequest &live, int64_t generated_total)
 void
 Server::deliverRunningProgress()
 {
-    for (const Request &request : scheduler_->running()) {
+    for (const Request &request : scheduler().running()) {
         auto it = live_.find(request.id);
         if (it == live_.end())
             continue; // cancelled under the scheduler's feet
@@ -653,7 +575,7 @@ Server::processCancellations()
         COMET_CHECK(cancelOne(id));
     // The scheduler retired the cancelled ids too; their live
     // entries are gone, so this delivers nothing further.
-    deliverRetired(scheduler_->drainRetired());
+    deliverRetired(scheduler().drainRetired());
 }
 
 void
@@ -669,7 +591,7 @@ Server::processDueCancels()
         any = cancelOne(id) || any;
     }
     if (any)
-        deliverRetired(scheduler_->drainRetired());
+        deliverRetired(scheduler().drainRetired());
 }
 
 bool
@@ -689,7 +611,7 @@ Server::cancelOne(int64_t id)
             return false; // already terminal
         stream = it->second.stream;
         if (it->second.in_scheduler) {
-            COMET_CHECK(scheduler_->cancel(id).isOk());
+            COMET_CHECK(scheduler().cancel(id).isOk());
         } else {
             PendingRequest removed;
             COMET_CHECK(fair_->removeById(id, &removed));
@@ -720,10 +642,10 @@ Server::cancelEverything()
     for (const auto &entry : live_) {
         streams.emplace(entry.first, entry.second.stream);
         if (entry.second.in_scheduler)
-            COMET_CHECK(scheduler_->cancel(entry.first).isOk());
+            COMET_CHECK(scheduler().cancel(entry.first).isOk());
     }
     fair_->drainAll();
-    scheduler_->drainRetired();
+    scheduler().drainRetired();
     arrivals_.clear();
     arrival_order_.clear();
     cancel_order_.clear();
@@ -742,13 +664,13 @@ bool
 Server::sessionIdle() const
 {
     return arrivals_.empty() && fair_->empty() &&
-           scheduler_->idle() && live_.empty();
+           scheduler().idle() && live_.empty();
 }
 
 void
 Server::publish(bool complete)
 {
-    const SchedulerCounters &counters = scheduler_->counters();
+    const SchedulerCounters &counters = scheduler().counters();
     stats_.preemptions = counters.preemptions;
     stats_.reprefill_tokens = counters.reprefill_tokens;
     const prefix::PrefixCacheStats prefix_stats =

@@ -3,13 +3,13 @@
  * The COMET online serving front-end.
  *
  * Server turns the offline serving stack (ServingEngine cost model +
- * PagedKvCache + the continuous-batching BatchScheduler) into an
- * asynchronous, multi-client system: concurrent client threads submit
- * requests and stream tokens back while a dedicated serving loop runs
- * continuous batching over a deterministic **virtual clock** advanced
- * by the engine's modeled prefill/decode latencies. The loop fans its
- * per-request accounting out over the comet::runtime thread pool and
- * emits COMET_SPANs plus `server.*` registry metrics.
+ * PagedKvCache + the continuous-batching BatchScheduler, charged by
+ * the step core of serve/step_core.h) into an asynchronous,
+ * multi-client system: concurrent client threads submit requests and
+ * stream tokens back while a dedicated serving loop runs continuous
+ * batching over a deterministic **virtual clock** advanced by the
+ * core's prefill and step charges — the same charges trace replay
+ * uses. The loop emits COMET_SPANs plus `server.*` registry metrics.
  *
  * ## Determinism (conservative virtual-time ingress)
  *
@@ -42,6 +42,7 @@
 
 #include "comet/serve/batch_scheduler.h"
 #include "comet/serve/engine.h"
+#include "comet/serve/step_core.h"
 #include "comet/server/admission.h"
 #include "comet/server/ingress_gate.h"
 #include "comet/server/streaming.h"
@@ -277,6 +278,11 @@ class Server
     void cancelEverything();
     bool sessionIdle() const;
     void publish(bool complete);
+    BatchScheduler &scheduler() { return core_->scheduler(); }
+    const BatchScheduler &scheduler() const
+    {
+        return core_->scheduler();
+    }
 
     const ServingEngine *engine_;
     ServerConfig config_;
@@ -285,7 +291,8 @@ class Server
      * acceptArrival stamps the tenant index in as the namespace. */
     prefix::KeySpace key_space_;
     std::unique_ptr<PagedKvCache> cache_;
-    std::unique_ptr<BatchScheduler> scheduler_;
+    /** The session's scheduler and its step charges. */
+    std::unique_ptr<StepCore> core_;
     std::unique_ptr<FairAdmissionQueue> fair_;
 
     std::shared_ptr<VirtualIngressGate> gate_;
@@ -305,7 +312,6 @@ class Server
     std::set<std::pair<double, int64_t>> cancel_order_;
     std::map<int64_t, SubmitRecord> arrivals_;
     std::map<int64_t, LiveRequest> live_;
-    std::map<int64_t, double> gemm_cache_;
     double clock_ = 0.0;
     ServerStats stats_;
 };

@@ -62,10 +62,12 @@ TEST(BatchScheduler, AdmitsUpToMaxBatch)
 
 TEST(BatchScheduler, StepGeneratesAndRetires)
 {
+    // Admission credits each request its prefill token, so a 3- and
+    // a 4-token generation need 2 and 3 decode steps.
     PagedKvCache cache = makeCache(10.0);
     BatchScheduler scheduler(&cache);
-    scheduler.submit(makeRequest(1, 16, 2));
-    scheduler.submit(makeRequest(2, 16, 3));
+    scheduler.submit(makeRequest(1, 16, 3));
+    scheduler.submit(makeRequest(2, 16, 4));
     scheduler.admit();
     EXPECT_EQ(scheduler.step(), 2);
     EXPECT_EQ(scheduler.finishedCount(), 0);
@@ -81,7 +83,7 @@ TEST(BatchScheduler, FinishedRequestsFreeKvBlocks)
 {
     PagedKvCache cache = makeCache(10.0);
     BatchScheduler scheduler(&cache);
-    scheduler.submit(makeRequest(1, 64, 1));
+    scheduler.submit(makeRequest(1, 64, 2));
     scheduler.admit();
     EXPECT_LT(cache.freeBlocks(), cache.totalBlocks());
     scheduler.step();
@@ -338,8 +340,8 @@ TEST(BatchScheduler, ContinuousAdmissionAfterRetirement)
     BatchSchedulerConfig config;
     config.max_batch = 1;
     BatchScheduler scheduler(&cache, config);
-    scheduler.submit(makeRequest(1, 16, 1));
-    scheduler.submit(makeRequest(2, 16, 1));
+    scheduler.submit(makeRequest(1, 16, 2));
+    scheduler.submit(makeRequest(2, 16, 2));
     EXPECT_EQ(scheduler.admit(), 1);
     scheduler.step(); // request 1 finishes
     EXPECT_EQ(scheduler.admit(), 1);
@@ -379,9 +381,7 @@ TEST(BatchScheduler, ResetCountersZeroesEverything)
 TEST(BatchScheduler, PrefillEmitsTokenCreditsAdmission)
 {
     PagedKvCache cache = makeCache(10.0);
-    BatchSchedulerConfig config;
-    config.prefill_emits_token = true;
-    BatchScheduler scheduler(&cache, config);
+    BatchScheduler scheduler(&cache);
     scheduler.submit(makeRequest(1, 32, 4));
     EXPECT_EQ(scheduler.admit(), 1);
     // The prefill forward pass produced the first output token.
@@ -399,10 +399,7 @@ TEST(BatchScheduler, PrefillEmitsTokenCreditsAdmission)
 TEST(BatchScheduler, OneTokenRequestRetiresAtAdmission)
 {
     PagedKvCache cache = makeCache(10.0);
-    BatchSchedulerConfig config;
-    config.prefill_emits_token = true;
-    config.collect_retired = true;
-    BatchScheduler scheduler(&cache, config);
+    BatchScheduler scheduler(&cache);
     scheduler.submit(makeRequest(1, 32, 1));
     EXPECT_EQ(scheduler.admit(), 1);
     // The crediting completed the request: it never enters the
@@ -427,7 +424,6 @@ TEST(BatchScheduler, AdmissionRetireReturnsItsFullOutputReservation)
 
     BatchSchedulerConfig config;
     config.admission = AdmissionPolicy::kReserveFullOutput;
-    config.prefill_emits_token = true;
     BatchScheduler scheduler(&cache, config);
 
     // Both requests reserve 6 blocks (2 prompt + 4 decode); the first
@@ -448,11 +444,9 @@ TEST(BatchScheduler, AdmissionRetireReturnsItsFullOutputReservation)
 TEST(BatchScheduler, DrainRetiredCollectsTerminalTransitions)
 {
     PagedKvCache cache = makeCache(10.0);
-    BatchSchedulerConfig config;
-    config.collect_retired = true;
-    BatchScheduler scheduler(&cache, config);
+    BatchScheduler scheduler(&cache);
     const int64_t huge_tokens = cache.totalBlocks() * 16 * 2;
-    scheduler.submit(makeRequest(1, 16, 1));
+    scheduler.submit(makeRequest(1, 16, 2));
     scheduler.submit(makeRequest(2, huge_tokens, 1)); // never fits
     scheduler.submit(makeRequest(3, 16, 8));
     scheduler.admit();
@@ -467,17 +461,6 @@ TEST(BatchScheduler, DrainRetiredCollectsTerminalTransitions)
     EXPECT_EQ(retired[2].id, 1);
     EXPECT_EQ(retired[2].state, RequestState::kFinished);
     // drainRetired clears: a second call returns nothing.
-    EXPECT_TRUE(scheduler.drainRetired().empty());
-}
-
-TEST(BatchScheduler, DrainRetiredIsEmptyWhenCollectionIsOff)
-{
-    PagedKvCache cache = makeCache(10.0);
-    BatchScheduler scheduler(&cache); // collect_retired off
-    scheduler.submit(makeRequest(1, 16, 1));
-    scheduler.admit();
-    scheduler.step();
-    EXPECT_EQ(scheduler.finishedCount(), 1);
     EXPECT_TRUE(scheduler.drainRetired().empty());
 }
 

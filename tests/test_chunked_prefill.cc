@@ -113,10 +113,11 @@ TEST_F(ChunkedPrefillTest, DecodeStealsPriorityFromChunks)
     BatchScheduler scheduler(&cache, config);
     scheduler.submit(makeRequest(1, 32, 8));
     scheduler.admit();
-    // Two steps of chunked prefill complete request 1's context; it
-    // decodes from the third step on.
+    // Two steps of chunked prefill complete request 1's context (the
+    // second one credits its first token); it decodes from the third
+    // step on.
     EXPECT_EQ(scheduler.step(), 0);
-    EXPECT_EQ(scheduler.step(), 0);
+    EXPECT_EQ(scheduler.step(), 1);
 
     scheduler.submit(makeRequest(2, 64, 4));
     scheduler.admit();
@@ -124,7 +125,7 @@ TEST_F(ChunkedPrefillTest, DecodeStealsPriorityFromChunks)
     // Request 1 decodes first (decode steals priority); the chunk
     // only gets the remaining 18 - 1 = 17 -> capped at chunk_tokens.
     EXPECT_EQ(plan.decode_batch, 1);
-    EXPECT_EQ(plan.decode_context_sum, 32);
+    EXPECT_EQ(plan.decode_context_sum, 33);
     ASSERT_EQ(plan.chunks.size(), 1u);
     EXPECT_EQ(plan.chunks[0].id, 2);
     EXPECT_EQ(plan.chunks[0].tokens, 16);
@@ -160,7 +161,8 @@ TEST_F(ChunkedPrefillTest, PagesHeldAcrossChunkSteps)
     EXPECT_TRUE(scheduler.running()[0].prefilling());
 
     for (int step = 1; step <= 4; ++step) {
-        EXPECT_EQ(scheduler.step(), 0);
+        // The final chunk credits the first output token.
+        EXPECT_EQ(scheduler.step(), step == 4 ? 1 : 0);
         EXPECT_EQ(cache.totalBlocks() - cache.freeBlocks(),
                   used_after_admit);
         EXPECT_EQ(scheduler.running()[0].prefilled_tokens,
@@ -168,8 +170,7 @@ TEST_F(ChunkedPrefillTest, PagesHeldAcrossChunkSteps)
     }
     EXPECT_FALSE(scheduler.running()[0].prefilling());
     EXPECT_EQ(scheduler.counters().prefill_chunks, 4);
-    // Prefill done: the next steps decode to completion.
-    EXPECT_EQ(scheduler.step(), 1);
+    // Prefill done: the next step decodes the second token.
     EXPECT_EQ(scheduler.step(), 1);
     EXPECT_TRUE(scheduler.idle());
     scheduler.counters().publishTo(obs::MetricsRegistry::global());
@@ -183,8 +184,6 @@ TEST_F(ChunkedPrefillTest, FirstTokenCreditAtFinalChunk)
     PagedKvCache cache = makeCache();
     BatchSchedulerConfig config;
     config.chunk_tokens = 16;
-    config.prefill_emits_token = true;
-    config.collect_retired = true;
     BatchScheduler scheduler(&cache, config);
     // A one-token generation: monolithic mode would retire it at
     // admit(); chunked mode retires it on the final-chunk step.
@@ -207,8 +206,6 @@ TEST_F(ChunkedPrefillTest, SchedulerTokenStreamsMatchMonolithic)
         PagedKvCache cache = makeCache();
         BatchSchedulerConfig config;
         config.chunk_tokens = chunk_tokens;
-        config.prefill_emits_token = true;
-        config.collect_retired = true;
         BatchScheduler scheduler(&cache, config);
         for (int64_t i = 0; i < 12; ++i) {
             scheduler.submit(makeRequest(i, 32 + 16 * (i % 5),

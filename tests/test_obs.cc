@@ -433,18 +433,18 @@ TEST(ObsReplay, ReplayEmitsNestedSchedulingSpans)
     obs::TraceSession::global().stop();
     ASSERT_GT(metrics.preemptions, 0); // the workload is KV-tight
     const auto spans = obs::TraceSession::global().drain();
-    EXPECT_GT(countSpans(spans, "replay"), 0);
-    EXPECT_GT(countSpans(spans, "replay/step"), 0);
-    EXPECT_GT(countSpans(spans, "replay/admit"), 0);
-    EXPECT_GT(countSpans(spans, "replay/prefill"), 0);
-    EXPECT_GT(countSpans(spans, "replay/decode"), 0);
-    EXPECT_GT(countSpans(spans, "replay/preempt"), 0);
-    // Step spans nest under the one top-level replay span.
+    EXPECT_GT(countSpans(spans, "offline"), 0);
+    EXPECT_GT(countSpans(spans, "step"), 0);
+    EXPECT_GT(countSpans(spans, "step/admit"), 0);
+    EXPECT_GT(countSpans(spans, "step/prefill"), 0);
+    EXPECT_GT(countSpans(spans, "step/decode"), 0);
+    EXPECT_GT(countSpans(spans, "scheduler/preempt"), 0);
+    // Step spans nest under the one top-level offline-run span.
     for (const obs::SpanRecord &span : spans) {
-        if (std::strcmp(span.name, "replay/step") == 0) {
+        if (std::strcmp(span.name, "step") == 0) {
             EXPECT_GE(span.depth, 1);
         }
-        if (std::strcmp(span.name, "replay") == 0) {
+        if (std::strcmp(span.name, "offline") == 0) {
             EXPECT_EQ(span.depth, 0);
         }
     }

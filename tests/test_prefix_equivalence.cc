@@ -114,7 +114,6 @@ runWorkload(const std::vector<Request> &requests, bool prefix_on,
     BatchSchedulerConfig config;
     config.max_batch = 8;
     config.watermark_blocks = watermark;
-    config.collect_retired = true;
     BatchScheduler scheduler(&cache, config);
 
     RunResult result;
@@ -126,16 +125,16 @@ runWorkload(const std::vector<Request> &requests, bool prefix_on,
         for (int i = 0; i < 2 && next < requests.size(); ++i) {
             scheduler.submit(requests[next++]);
         }
-        const int64_t admitted = scheduler.admit();
-        (void)admitted;
-        for (const Request &request : scheduler.running()) {
-            if (request.generated_tokens == 0) {
-                // Freshly admitted: charge the prefill honestly —
-                // grafted tokens are not computed.
-                result.prefill_tokens_computed +=
-                    request.contextTokens() -
-                    request.prefix_matched_tokens;
-            }
+        const size_t running_before = scheduler.running().size();
+        scheduler.admit();
+        const std::vector<Request> &running = scheduler.running();
+        for (size_t i = running_before; i < running.size(); ++i) {
+            // Just admitted: charge the prefill honestly — grafted
+            // tokens are not computed, and the prefill's own output
+            // (the credited first token) is not an input.
+            result.prefill_tokens_computed +=
+                running[i].contextTokens() - 1 -
+                running[i].prefix_matched_tokens;
         }
         scheduler.step();
         for (const Request &request : scheduler.running()) {
