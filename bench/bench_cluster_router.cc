@@ -118,6 +118,24 @@ gemmMemoMisses()
         "serve.step.gemm_memo_misses");
 }
 
+/** Posted cancellation ids the session's loops examined — the
+ * router edge plus every replica, or the bare server — since the
+ * registry's last reset. The workload never cancels, so a loop that
+ * visits anything per step instead of per cancel shows up here. */
+int64_t
+cancelVisits(int replicas)
+{
+    const obs::MetricsRegistry &registry =
+        obs::MetricsRegistry::global();
+    int64_t visits = registry.counterValue("server.cancel_visits") +
+                     registry.counterValue("cluster.cancel_visits");
+    for (int r = 0; r < replicas; ++r) {
+        visits += registry.counterValue(
+            "cluster.replica." + std::to_string(r) + ".cancel_visits");
+    }
+    return visits;
+}
+
 /** The bare-Server baseline the 1-replica cluster must match. */
 LoadgenReport
 runBareSession(const ServingEngine &engine,
@@ -235,11 +253,13 @@ main(int argc, char **argv)
     // indistinguishable (the router adds placement, not behavior).
     const LoadgenReport bare = runBareSession(engine, workload);
     int64_t memo_misses = gemmMemoMisses();
+    int64_t cancel_visits = cancelVisits(kReplicas);
     ClusterStats one_stats;
     const LoadgenReport one =
         runClusterSession(engine, workload, 1, policies[0],
                           &one_stats);
     memo_misses += gemmMemoMisses();
+    cancel_visits += cancelVisits(kReplicas);
     check(sameTokenStreams(bare, one),
           "1-replica cluster streams token-identical outcomes to a "
           "bare server");
@@ -276,6 +296,7 @@ main(int argc, char **argv)
         const LoadgenReport scaled = runClusterSession(
             engine, workload, kReplicas, policy, &stats);
         memo_misses += gemmMemoMisses();
+        cancel_visits += cancelVisits(kReplicas);
         check(sameTokenStreams(bare, scaled),
               "scale-out preserves every terminal and token count");
         int replicas_used = 0;
@@ -351,6 +372,7 @@ main(int argc, char **argv)
             const LoadgenReport again = runClusterSession(
                 engine, workload, kReplicas, policy, &again_stats);
             memo_misses += gemmMemoMisses();
+            cancel_visits += cancelVisits(kReplicas);
             check(renderClusterLoadgenReport(again, kReplicas) ==
                       rendered_example,
                   "back-to-back cluster runs render identical "
@@ -397,6 +419,10 @@ main(int argc, char **argv)
     // Simulator work: every memo miss is one full-model GEMM costing.
     report.addMetric("serve.step.gemm_memo_misses",
                      static_cast<double>(memo_misses), "count",
+                     /*gate=*/true, /*higher_is_better=*/false);
+    // Loop work: posted cancels examined (this workload posts none).
+    report.addMetric("cluster.cancel_visits",
+                     static_cast<double>(cancel_visits), "count",
                      /*gate=*/true, /*higher_is_better=*/false);
     report.writeIfRequested(argc, argv);
 

@@ -225,6 +225,14 @@ main(int argc, char **argv)
                      false, false);
     report.addMetric("makespan_us", chunked.makespan_us, "us", false,
                      false);
+    // Loop work: posted cancels the three sessions examined. The
+    // workload posts none, so any per-step scan reads nonzero.
+    report.addMetric("server.cancel_visits",
+                     static_cast<double>(mono_stats.cancel_visits +
+                                         chunked_stats.cancel_visits +
+                                         again_stats.cancel_visits),
+                     "count", /*gate=*/true,
+                     /*higher_is_better=*/false);
     report.writeIfRequested(argc, argv);
 
     if (failures > 0) {

@@ -19,7 +19,9 @@
 #     every serving invariant under injected faults plus byte-equal
 #     event logs across COMET_THREADS=1 and 8. Run a second time in
 #     --prefix mode: shared-prompt scripts with the prefix cache on
-#     and the graft failpoint armed.
+#     and the graft failpoint armed. A separate --probe run enforces
+#     the disabled-failpoint budget (<= 1 ns/hit), a wall-clock
+#     check kept apart from the correctness soaks.
 #   - bench_prefix_cache --smoke: prefix-cache hit rate and latency
 #     win on a shared-prompt workload; its exit status asserts the
 #     cache-on/cache-off token streams are identical and the cached
@@ -102,6 +104,8 @@ run python3 "$(dirname "$0")/check_bench.py" \
 run "${bench_dir}/bench_runtime_scaling" --smoke
 
 run "${bench_dir}/bench_server_loadgen" --smoke
+
+run "${bench_dir}/bench_chaos_soak" --probe
 
 run "${bench_dir}/bench_chaos_soak" --smoke
 

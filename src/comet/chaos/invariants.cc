@@ -109,6 +109,19 @@ checkKvCacheConsistency(const PagedKvCache &cache)
                              cache.physicalBlocksInUse(),
                          total);
     }
+    // The incremental admission capacity against a recount: free
+    // blocks plus the indexed pages no chain references.
+    int64_t index_only = 0;
+    for (int64_t block : held) {
+        if (cache.blockRefCount(block) == 1)
+            ++index_only;
+    }
+    if (cache.availableBlocks() != cache.freeBlocks() + index_only) {
+        return violation("availableBlocks() != free + index-only "
+                         "pages (recounted)",
+                         cache.availableBlocks(),
+                         cache.freeBlocks() + index_only);
+    }
     return Status::ok();
 }
 

@@ -20,6 +20,9 @@
  *    cached page legitimately outlives the sequences that built it),
  *    so a block referenced by no chain and not indexed is a leak and
  *    a chain entry without a matching reference is a dangling page;
+ *  - admission capacity: availableBlocks(), which the allocator
+ *    keeps incrementally, equals free blocks plus a recount of the
+ *    indexed pages whose only reference is the index's;
  *  - chain sizing: each sequence's chain holds exactly
  *    blocksForTokens(tokens) pages, and the logical page total is the
  *    sum of chain lengths;

@@ -283,10 +283,12 @@ ClusterRouter::loop()
         // wake_on_floor: a client horizon moved past what the
         // replicas were promised; propagate it, or a fully routed
         // session would leave the replicas gated forever.
-        server::VirtualIngressGate::Wakeup wakeup =
-            gate_->awaitWork(!routerIdle(), /*wake_on_floor=*/true);
+        server::VirtualIngressGate::Wakeup wakeup;
         std::vector<int> drain_requests;
         {
+            COMET_SPAN("cluster/await");
+            wakeup = gate_->awaitWork(!routerIdle(),
+                                      /*wake_on_floor=*/true);
             std::lock_guard<std::mutex> lock(drain_mutex_);
             drain_requests.swap(drain_requests_);
         }
@@ -300,7 +302,7 @@ ClusterRouter::loop()
             publish(/*complete=*/true);
             return;
         }
-        processEdgeCancellations();
+        processEdgeCancellations(std::move(wakeup.cancels));
         propagateHorizons();
         if (!routerIdle()) {
             if (!stepOnce()) {
@@ -638,16 +640,21 @@ ClusterRouter::forwardToReplica(int replica,
     };
     server::TokenStreamPtr replica_stream =
         handles_[static_cast<size_t>(replica)].submit(forward);
-    // From here on a cancellation goes straight to the replica. The
-    // poke holds the replica stream weakly: that stream's callback
-    // already owns the cluster stream, and a strong capture back would
-    // be a cycle that leaks both. The replica keeps its stream alive
-    // until the terminal event, after which a cancel is moot.
+    // From here on a cancellation goes straight to the replica, whose
+    // stream posts it to the replica's gate. The poke holds the
+    // replica stream weakly: that stream's callback already owns the
+    // cluster stream, and a strong capture back would be a cycle that
+    // leaks both. The replica keeps its stream alive until the
+    // terminal event, after which a cancel is moot.
     std::weak_ptr<server::TokenStream> weak_replica = replica_stream;
     cluster_stream->setCancelPoke([weak_replica] {
         if (server::TokenStreamPtr stream = weak_replica.lock())
             stream->requestCancel();
     });
+    // A cancel that read the old poke before the swap was posted to
+    // the cluster gate instead; the flag it raised first is visible
+    // here, so it is forwarded now (processEdgeCancellations then
+    // finds the id placed and leaves it to the replica).
     if (cluster_stream->cancelRequested() &&
         !replica_stream->cancelRequested())
         replica_stream->requestCancel();
@@ -737,16 +744,31 @@ ClusterRouter::rejectAtEdge(int64_t id, server::RejectReason reason)
 }
 
 void
-ClusterRouter::processEdgeCancellations()
+ClusterRouter::processEdgeCancellations(
+    std::vector<server::PostedCancel> cancels)
 {
-    std::vector<int64_t> ids;
-    for (const auto &entry : pending_) {
-        if (entry.second.stream->cancelRequested())
-            ids.push_back(entry.first);
-    }
-    for (int64_t id : ids) {
+    if (cancels.empty())
+        return;
+    COMET_SPAN("cluster/cancels");
+    server::sortUniqueCancels(&cancels);
+    stats_.cancel_visits += static_cast<int64_t>(cancels.size());
+    clusterCounter("cancel_visits")
+        .add(static_cast<int64_t>(cancels.size()));
+    for (const server::PostedCancel &posted : cancels) {
+        const int64_t id = posted.id;
         auto it = pending_.find(id);
-        COMET_CHECK(it != pending_.end());
+        if (it == pending_.end()) {
+            // Not waiting at the edge: either the stream already
+            // terminated here (rejected or cancelled at the edge), or
+            // it was forwarded and forwardToReplica's poke swap plus
+            // flag check hand the cancel to the replica.
+            COMET_CHECK_MSG(placements_.count(id) != 0 ||
+                                posted.stream->done(),
+                            "a posted cancel names a stream that is "
+                            "neither pending, forwarded nor "
+                            "terminated");
+            continue;
+        }
         pending_order_.erase(
             {it->second.request.arrival_us, id});
         server::IngressRecord record = std::move(it->second);

@@ -140,6 +140,10 @@ struct ClusterStats {
     int64_t drains_skipped = 0; ///< drains skipped (last replica)
     int64_t rejected = 0;  ///< rejected at the cluster edge
     int64_t cancelled = 0; ///< cancelled before reaching a replica
+    /** Posted cancellation ids the routing loop examined, duplicates
+     * folded (also `cluster.cancel_visits`; see
+     * server::ServerStats::cancel_visits). */
+    int64_t cancel_visits = 0;
     /** Requests forwarded to each replica, by replica index. */
     std::vector<int64_t> routed_per_replica;
 };
@@ -257,7 +261,8 @@ class ClusterRouter {
                      const server::StreamRequest &request) const;
     int activeCount() const;
     void rejectAtEdge(int64_t id, server::RejectReason reason);
-    void processEdgeCancellations();
+    void processEdgeCancellations(
+        std::vector<server::PostedCancel> cancels);
     void cancelUnrouted();
     void completeSession();
     void stopReplicas(bool cancel_in_flight);

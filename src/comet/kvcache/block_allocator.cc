@@ -42,6 +42,7 @@ BlockAllocator::BlockAllocator(int64_t num_blocks) : total_(num_blocks)
 {
     COMET_CHECK(num_blocks > 0);
     ref_counts_.assign(static_cast<size_t>(num_blocks), 0);
+    indexed_.assign(static_cast<size_t>(num_blocks), false);
     free_list_.reserve(static_cast<size_t>(num_blocks));
     // Hand out low block ids first (LIFO free list, reversed fill).
     for (int64_t b = num_blocks - 1; b >= 0; --b)
@@ -75,9 +76,11 @@ void
 BlockAllocator::addRef(int64_t block)
 {
     COMET_CHECK(block >= 0 && block < total_);
-    COMET_CHECK_MSG(ref_counts_[static_cast<size_t>(block)] > 0,
-                    "addRef on a free block");
-    ++ref_counts_[static_cast<size_t>(block)];
+    int &count = ref_counts_[static_cast<size_t>(block)];
+    COMET_CHECK_MSG(count > 0, "addRef on a free block");
+    if (count == 1 && indexed_[static_cast<size_t>(block)])
+        --indexed_sole_;
+    ++count;
 }
 
 void
@@ -86,10 +89,32 @@ BlockAllocator::release(int64_t block)
     COMET_CHECK(block >= 0 && block < total_);
     int &count = ref_counts_[static_cast<size_t>(block)];
     COMET_CHECK_MSG(count > 0, "release on a free block");
-    if (--count == 0) {
+    --count;
+    if (indexed_[static_cast<size_t>(block)]) {
+        if (count == 1) {
+            ++indexed_sole_;
+        } else if (count == 0) {
+            --indexed_sole_;
+            indexed_[static_cast<size_t>(block)] = false;
+        }
+    }
+    if (count == 0) {
         free_list_.push_back(block);
         blocksReleasedCounter().add(1);
     }
+}
+
+void
+BlockAllocator::setIndexed(int64_t block, bool indexed)
+{
+    COMET_CHECK(block >= 0 && block < total_);
+    COMET_CHECK_MSG(ref_counts_[static_cast<size_t>(block)] > 0,
+                    "setIndexed on a free block");
+    if (indexed_[static_cast<size_t>(block)] == indexed)
+        return;
+    indexed_[static_cast<size_t>(block)] = indexed;
+    if (ref_counts_[static_cast<size_t>(block)] == 1)
+        indexed_sole_ += indexed ? 1 : -1;
 }
 
 int

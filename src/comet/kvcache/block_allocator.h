@@ -51,9 +51,26 @@ class BlockAllocator
     /** Current refcount (0 = free). */
     int refCount(int64_t block) const;
 
+    /**
+     * Marks the allocated @p block as held (or no longer held) by a
+     * prefix index, whose own reference is one of its refcount. A
+     * marked block that returns to the free list is unmarked.
+     */
+    void setIndexed(int64_t block, bool indexed);
+
+    /**
+     * Marked blocks whose refcount is exactly 1 — pages only the
+     * index references. Kept current by addRef/release on the 1<->2
+     * and 1->0 transitions of marked blocks, so reading it is O(1).
+     */
+    int64_t indexedSoleBlocks() const { return indexed_sole_; }
+
   private:
     int64_t total_;
     std::vector<int> ref_counts_;
+    /** Per-block prefix-index mark (see setIndexed). */
+    std::vector<bool> indexed_;
+    int64_t indexed_sole_ = 0;
     std::vector<int64_t> free_list_;
 };
 

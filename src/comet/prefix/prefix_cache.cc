@@ -99,6 +99,7 @@ PrefixCache::insert(int64_t namespace_id, const std::vector<BlockKey> &keys,
         if (index_.insert(namespace_id, keys[i], parent,
                           static_cast<int64_t>(i), blocks[i])) {
             allocator_->addRef(blocks[i]);
+            allocator_->setIndexed(blocks[i], true);
             ++inserted;
         }
     }
@@ -133,6 +134,12 @@ PrefixCache::evictableBlocks() const
     // set: a sequence mapping a child page necessarily maps (and so
     // references) every ancestor. Leaf-first eviction therefore
     // reaches all of them, making this count exact, not just a bound.
+    return allocator_->indexedSoleBlocks();
+}
+
+int64_t
+PrefixCache::recountEvictableBlocks() const
+{
     int64_t evictable = 0;
     index_.forEach([&](const IndexNode &node) {
         if (allocator_->refCount(node.block) == 1) {
@@ -145,7 +152,10 @@ PrefixCache::evictableBlocks() const
 void
 PrefixCache::clear()
 {
-    index_.clear([this](int64_t block) { allocator_->release(block); });
+    index_.clear([this](int64_t block) {
+        allocator_->setIndexed(block, false);
+        allocator_->release(block);
+    });
 }
 
 } // namespace prefix

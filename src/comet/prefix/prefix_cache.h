@@ -115,8 +115,14 @@ class PrefixCache
 
     /** Pages whose only reference is the index — an upper bound on
      * consecutive successful evictOne() calls, and exactly the count
-     * freed by evicting until dry (leaf eviction unblocks parents). */
+     * freed by evicting until dry (leaf eviction unblocks parents).
+     * O(1): the allocator keeps the count current (see
+     * BlockAllocator::setIndexed). */
     int64_t evictableBlocks() const;
+
+    /** evictableBlocks() recounted by walking every indexed page: the
+     * oracle tests and audits check the incremental count against. */
+    int64_t recountEvictableBlocks() const;
 
     /** Pages currently indexed (each holds one cache reference). */
     int64_t ownedBlocks() const

@@ -16,6 +16,22 @@ constexpr double kInfinity = std::numeric_limits<double>::infinity();
 
 } // namespace
 
+void
+sortUniqueCancels(std::vector<PostedCancel> *cancels)
+{
+    // Ids are unique per session, so one id is one stream.
+    std::sort(cancels->begin(), cancels->end(),
+              [](const PostedCancel &a, const PostedCancel &b) {
+                  return a.id < b.id;
+              });
+    cancels->erase(
+        std::unique(cancels->begin(), cancels->end(),
+                    [](const PostedCancel &a, const PostedCancel &b) {
+                        return a.id == b.id;
+                    }),
+        cancels->end());
+}
+
 TokenStreamPtr
 VirtualIngressGate::Client::submit(const StreamRequest &request)
 {
@@ -75,12 +91,17 @@ VirtualIngressGate::submit(size_t client, const StreamRequest &request)
         request.callback
             ? std::make_shared<TokenStream>(request.callback)
             : std::make_shared<TokenStream>();
-    // Install the loop-wake hook before the request can possibly
-    // reach the loop, so no cancellation poke is ever lost.
+    // Install the cancel hook before the request can possibly reach
+    // the loop, so no cancellation is ever lost. Both captures are
+    // weak: the stream owns the hook, and a stream may outlive its
+    // front end.
     std::weak_ptr<VirtualIngressGate> weak = weak_from_this();
-    stream->setCancelPoke([weak] {
-        if (std::shared_ptr<VirtualIngressGate> gate = weak.lock())
-            gate->poke();
+    std::weak_ptr<TokenStream> weak_stream = stream;
+    stream->setCancelPoke([weak, weak_stream, id = request.id] {
+        std::shared_ptr<VirtualIngressGate> gate = weak.lock();
+        TokenStreamPtr self = weak_stream.lock();
+        if (gate && self)
+            gate->postCancel(id, std::move(self));
     });
     IngressRecord record;
     record.request = request;
@@ -178,6 +199,15 @@ VirtualIngressGate::poke()
 }
 
 void
+VirtualIngressGate::postCancel(int64_t id, TokenStreamPtr stream)
+{
+    std::lock_guard<std::mutex> lock(mutex_);
+    cancels_.push_back({id, std::move(stream)});
+    poked_ = true;
+    cv_.notify_all();
+}
+
+void
 VirtualIngressGate::waitSettled(double virtual_us) const
 {
     std::unique_lock<std::mutex> lock(mutex_);
@@ -223,6 +253,7 @@ VirtualIngressGate::awaitWork(bool busy, bool wake_on_floor)
     });
     Wakeup wakeup;
     wakeup.incoming = takeInboxLocked();
+    wakeup.cancels.swap(cancels_);
     poked_ = false;
     wakeup.stop = stop_requested_;
     wakeup.cancel = cancel_on_stop_;

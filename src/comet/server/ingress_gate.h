@@ -113,6 +113,18 @@ struct IngressRecord {
     int tenant = 0;        ///< index into the gate's tenant set
 };
 
+/** A client's cancellation request, posted to the gate of the front
+ * end that owns the stream (see VirtualIngressGate::postCancel). */
+struct PostedCancel {
+    int64_t id = 0;        ///< the request id the stream was submitted as
+    TokenStreamPtr stream; ///< the stream that asked to cancel
+};
+
+/** Sorts @p cancels by request id and folds repeated posts of one
+ * id into one: the order a loop handles a batch of posted cancels
+ * in, whatever order the clients posted them. */
+void sortUniqueCancels(std::vector<PostedCancel> *cancels);
+
 /** How a gate wait for a clock advance resolved. */
 enum class GateOutcome {
     kAdvance,     ///< safe to commit the clock move
@@ -172,6 +184,9 @@ class VirtualIngressGate
     /** What woke the loop (see awaitWork). */
     struct Wakeup {
         std::vector<IngressRecord> incoming; ///< the inbox, taken
+        /** Cancellations posted since the last wakeup, in posting
+         * order (duplicates possible: a stream may cancel twice). */
+        std::vector<PostedCancel> cancels;
         bool stop = false;   ///< requestStop() was called
         bool cancel = false; ///< ... with cancel_in_flight
         bool drain = false;  ///< ingress is closed
@@ -211,10 +226,20 @@ class VirtualIngressGate
      * never the reverse). */
     void requestStop(bool cancel_in_flight);
 
-    /** Wakes the loop (and bounces a re-planning gate wait): a
-     * stream requested cancellation or the front end has other
-     * loop-side work. */
+    /** Wakes the loop (and bounces a re-planning gate wait): the
+     * front end has loop-side work that is not a cancellation (the
+     * cluster router's drain requests). */
     void poke();
+
+    /**
+     * Posts a cancellation of request @p id (whose stream is
+     * @p stream) for the loop and wakes it like poke(). Every stream
+     * submit() hands out posts here from TokenStream::requestCancel(),
+     * so the loop visits only the ids clients actually cancelled.
+     * The post and the submission it names are taken by the same
+     * awaitWork() or a later one, never an earlier one.
+     */
+    void postCancel(int64_t id, TokenStreamPtr stream);
 
     /** Blocks until the settled horizon reaches @p virtual_us. */
     void waitSettled(double virtual_us) const;
@@ -233,11 +258,12 @@ class VirtualIngressGate
     // ---- The front end's loop thread ----
 
     /**
-     * Parks until there is something to do, then takes the inbox.
-     * Wakes at once when @p busy; otherwise on a submission, a poke,
-     * a stop, an unfinished drain, or — with @p wake_on_floor — the
-     * floor rising past the promised floor. While parked the settled
-     * horizon follows the open horizons.
+     * Parks until there is something to do, then takes the inbox and
+     * the posted cancellations. Wakes at once when @p busy; otherwise
+     * on a submission, a poke or posted cancel, a stop, an unfinished
+     * drain, or — with @p wake_on_floor — the floor rising past the
+     * promised floor. While parked the settled horizon follows the
+     * open horizons.
      */
     Wakeup awaitWork(bool busy, bool wake_on_floor);
 
@@ -288,13 +314,15 @@ class VirtualIngressGate
     /** drain() callers wait here for session completion. */
     std::condition_variable done_cv_;
     std::vector<IngressRecord> inbox_;
+    /** Cancellations posted since the last awaitWork(). */
+    std::vector<PostedCancel> cancels_;
     /** Least arrival in inbox_ (infinity when empty). */
     double inbox_floor_us_;
     std::vector<double> horizons_; ///< per-client horizons
     bool draining_ = false;        ///< ingress closed
     bool stop_requested_ = false;  ///< loop asked to exit
     bool cancel_on_stop_ = false;  ///< stop cancels in-flight work
-    bool poked_ = false;           ///< loop-side work requested
+    bool poked_ = false;           ///< a poke or a posted cancel
     bool complete_ = false;        ///< all accepted work terminal
     Counts counts_;
     double clock_us_ = 0.0;   ///< published loop clock

@@ -178,16 +178,23 @@ Server::loop()
     obs::configureFromEnv();
     COMET_SPAN("server/session");
     for (;;) {
-        VirtualIngressGate::Wakeup wakeup =
-            gate_->awaitWork(!sessionIdle(), /*wake_on_floor=*/false);
-        for (IngressRecord &record : wakeup.incoming)
-            acceptArrival(std::move(record));
+        VirtualIngressGate::Wakeup wakeup;
+        {
+            COMET_SPAN("server/await");
+            wakeup = gate_->awaitWork(!sessionIdle(),
+                                      /*wake_on_floor=*/false);
+        }
+        if (!wakeup.incoming.empty()) {
+            COMET_SPAN("server/accept");
+            for (IngressRecord &record : wakeup.incoming)
+                acceptArrival(std::move(record));
+        }
         if (wakeup.stop && wakeup.cancel) {
             cancelEverything();
             publish(/*complete=*/true);
             return;
         }
-        processCancellations();
+        processCancellations(std::move(wakeup.cancels));
         processDueCancels();
         if (!sessionIdle()) {
             if (!stepOnce()) {
@@ -275,9 +282,10 @@ Server::ingestDueArrivals()
         arrivals_.erase(it);
 
         // Chaos hook: a client cancel/disconnect racing admission.
-        // Only the loop thread fires it, and processCancellations
-        // observes the flag at the next iteration boundary, so the
-        // injected race replays deterministically.
+        // Only the loop thread fires it; the cancel it posts to the
+        // gate is handed back by the next awaitWork and handled at
+        // that iteration boundary, so the injected race replays
+        // deterministically.
         if (COMET_FAILPOINT("server.ingress"))
             pending.stream->requestCancel();
 
@@ -557,22 +565,25 @@ Server::deliverRetired(const std::vector<Request> &retired)
 }
 
 void
-Server::processCancellations()
+Server::processCancellations(std::vector<PostedCancel> cancels)
 {
-    std::vector<int64_t> ids;
-    for (const auto &entry : arrivals_) {
-        if (entry.second.request.stream->cancelRequested())
-            ids.push_back(entry.first);
-    }
-    for (const auto &entry : live_) {
-        if (entry.second.stream->cancelRequested())
-            ids.push_back(entry.first);
-    }
-    if (ids.empty())
+    if (cancels.empty())
         return;
-    std::sort(ids.begin(), ids.end());
-    for (int64_t id : ids)
-        COMET_CHECK(cancelOne(id));
+    COMET_SPAN("server/cancels");
+    sortUniqueCancels(&cancels);
+    stats_.cancel_visits += static_cast<int64_t>(cancels.size());
+    serverCounter(config_.metrics_prefix, "cancel_visits")
+        .add(static_cast<int64_t>(cancels.size()));
+    for (const PostedCancel &posted : cancels) {
+        // This loop delivers every terminal event of an accepted
+        // stream, and a post is never taken before its submission: a
+        // stream that has not terminated is still held, and one that
+        // has (it finished, was rejected, or an earlier post
+        // cancelled it) makes the cancel moot.
+        if (posted.stream->done())
+            continue;
+        COMET_CHECK(cancelOne(posted.id));
+    }
     // The scheduler retired the cancelled ids too; their live
     // entries are gone, so this delivers nothing further.
     deliverRetired(scheduler().drainRetired());

@@ -130,6 +130,10 @@ struct ServerStats {
     int64_t prefix_blocks_matched = 0; ///< KV pages grafted
     int64_t prefix_blocks_evicted = 0; ///< cached pages evicted
     int64_t prefix_bytes_saved = 0;    ///< quantized bytes not built
+    /** Posted cancellation ids the loop examined, duplicates folded
+     * (also `<prefix>.cancel_visits`): zero for a session in which
+     * no client cancelled, however many requests it holds. */
+    int64_t cancel_visits = 0;
     /** Per-tenant SLO attainment, one row per configured tenant (in
      * ServerConfig::tenants order). Also published as
      * `server.tenant.<name>.slo.*` registry counters. */
@@ -269,7 +273,7 @@ class Server
     void injectFromFairQueue();
     void deliverRunningProgress();
     void deliverRetired(const std::vector<Request> &retired);
-    void processCancellations();
+    void processCancellations(std::vector<PostedCancel> cancels);
     void processDueCancels();
     bool cancelOne(int64_t id);
     void rejectPending(PendingRequest &&pending,

@@ -116,9 +116,12 @@ class TokenStream
 
     /**
      * Asks the server to cancel this request. Advisory and
-     * asynchronous: the serving loop observes the flag at its next
-     * iteration and emits kCancelled; a request that already
-     * finished stays finished.
+     * asynchronous: raises the flag, then posts its id to the owning
+     * gate (VirtualIngressGate::postCancel) through the hook the
+     * gate installed; the serving loop takes the post at its next
+     * iteration and emits kCancelled. A request that already
+     * finished stays finished. Callable from any thread, including a
+     * callback on the serving loop.
      */
     void requestCancel();
 
@@ -158,8 +161,10 @@ class TokenStream
 
     /**
      * Registers @p poke to run (under no stream lock) whenever the
-     * client requests cancellation — the server installs its
-     * wake-the-loop hook here so a cancel interrupts an idle loop.
+     * client requests cancellation, replacing any earlier hook. The
+     * ingress gate installs the hook that posts the cancel to its
+     * loop; the cluster router swaps it for one that forwards the
+     * cancel to the replica's stream once the request is placed.
      */
     void setCancelPoke(std::function<void()> poke);
 

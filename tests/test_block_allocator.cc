@@ -71,6 +71,34 @@ TEST(BlockAllocator, RefCountingForPrefixSharing)
     EXPECT_EQ(allocator.freeBlocks(), 2);
 }
 
+TEST(BlockAllocator, IndexedSoleCountFollowsRefcountTransitions)
+{
+    BlockAllocator allocator(4);
+    const int64_t block = allocator.allocate().value();
+    EXPECT_EQ(allocator.indexedSoleBlocks(), 0);
+    allocator.addRef(block); // the index takes its reference...
+    allocator.setIndexed(block, true);
+    EXPECT_EQ(allocator.indexedSoleBlocks(), 0); // ...the owner holds on
+    allocator.release(block); // 2 -> 1: only the index is left
+    EXPECT_EQ(allocator.indexedSoleBlocks(), 1);
+    allocator.addRef(block); // 1 -> 2: a graft maps it again
+    EXPECT_EQ(allocator.indexedSoleBlocks(), 0);
+    allocator.release(block);
+    EXPECT_EQ(allocator.indexedSoleBlocks(), 1);
+    allocator.release(block); // 1 -> 0: evicted, and unmarked
+    EXPECT_EQ(allocator.indexedSoleBlocks(), 0);
+    EXPECT_EQ(allocator.freeBlocks(), 4);
+    // A reused block starts unmarked.
+    EXPECT_EQ(allocator.allocate().value(), block);
+    EXPECT_EQ(allocator.indexedSoleBlocks(), 0);
+    allocator.setIndexed(block, true); // refcount 1: counts at once
+    EXPECT_EQ(allocator.indexedSoleBlocks(), 1);
+    allocator.setIndexed(block, true); // idempotent
+    EXPECT_EQ(allocator.indexedSoleBlocks(), 1);
+    allocator.setIndexed(block, false);
+    EXPECT_EQ(allocator.indexedSoleBlocks(), 0);
+}
+
 TEST(BlockAllocatorDeathTest, MisuseAborts)
 {
     BlockAllocator allocator(2);

@@ -7,6 +7,8 @@
  */
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <functional>
 #include <map>
 #include <string>
 #include <thread>
@@ -442,6 +444,162 @@ TEST_F(ClusterTest, SubmitThenCloseNeverFallsBelowTheReplicaFloor)
             ASSERT_EQ(stream->terminalKind(), StreamEventKind::kFinished);
         router.stop(/*cancel_in_flight=*/false);
     }
+}
+
+// ---- Posted cancels at the edge and across the forward ----
+
+/** Counts a callback-mode cluster stream's events and runs the hooks
+ * on the thread that delivers them (the routing loop for edge
+ * verdicts, the replica's loop for everything it serves). */
+struct Tally {
+    std::atomic<int64_t> tokens{0};
+    std::atomic<int> terminals{0};
+    std::function<void(int64_t token_index)> on_token;
+    std::function<void(StreamEventKind kind)> on_terminal;
+};
+
+server::StreamRequest
+talliedRequest(int64_t id, const std::string &tenant, double arrival_us,
+               int64_t output, Tally *tally)
+{
+    server::StreamRequest request;
+    request.id = id;
+    request.tenant = tenant;
+    request.prompt_tokens = 64;
+    request.max_output_tokens = output;
+    request.arrival_us = arrival_us;
+    request.callback = [tally](const server::StreamEvent &event) {
+        if (server::isTerminal(event.kind)) {
+            ++tally->terminals;
+            if (tally->on_terminal)
+                tally->on_terminal(event.kind);
+            return;
+        }
+        ++tally->tokens;
+        if (tally->on_token)
+            tally->on_token(event.token_index);
+    };
+    return request;
+}
+
+/** One replica; tenant "r" admits one request at the edge and
+ * rate-limits every later one, so a rejection callback runs on the
+ * routing loop thread at a known point of the routing order. */
+ClusterConfig
+edgeCancelConfig(const ServingEngine *engine)
+{
+    ClusterConfig config;
+    ReplicaSpec spec;
+    spec.engine = engine;
+    config.replicas = {spec};
+    server::TenantConfig normal;
+    normal.name = "t";
+    server::TenantConfig limited;
+    limited.name = "r";
+    limited.rate_limit_per_s = 1e-9;
+    limited.rate_burst = 1.0;
+    config.server.tenants = {normal, limited};
+    config.server.max_batch = 16;
+    return config;
+}
+
+TEST_F(ClusterTest, PostedCancelEndsARequestAtTheEdgeBeforeForwarding)
+{
+    const ServingEngine engine(testEngineConfig());
+    ClusterRouter router(edgeCancelConfig(&engine));
+    ClusterRouter::Client client = router.connect();
+    // Holds routing at t=0 until target_stream is set: the target's
+    // far arrival alone would release the rejection at t=10.
+    ClusterRouter::Client gater = router.connect();
+    Tally admitted, rejected, target;
+    server::TokenStreamPtr target_stream;
+    rejected.on_terminal = [&](StreamEventKind kind) {
+        if (kind == StreamEventKind::kRejected)
+            target_stream->requestCancel();
+    };
+    client.submit(talliedRequest(1, "r", 0.0, 2, &admitted));
+    client.submit(talliedRequest(2, "r", 10.0, 2, &rejected));
+    target_stream =
+        client.submit(talliedRequest(3, "t", 1e9, 4, &target));
+    client.close();
+    gater.close();
+    router.drain();
+    EXPECT_EQ(target_stream->terminalKind(),
+              StreamEventKind::kCancelled);
+    EXPECT_EQ(target.tokens, 0);
+    EXPECT_EQ(target.terminals, 1);
+    EXPECT_EQ(rejected.terminals, 1);
+    EXPECT_EQ(admitted.terminals, 1);
+    EXPECT_EQ(router.placementOf(3), -1);
+    const ClusterStats stats = router.stats();
+    EXPECT_EQ(stats.rejected, 1);
+    EXPECT_EQ(stats.cancelled, 1);
+    EXPECT_EQ(stats.cancel_visits, 1);
+    EXPECT_EQ(router.replicaStats(0).cancelled, 0);
+    EXPECT_EQ(router.replicaStats(0).cancel_visits, 0);
+    router.stop(/*cancel_in_flight=*/false);
+}
+
+TEST_F(ClusterTest, PostedCancelAfterForwardingGoesToTheReplica)
+{
+    const ServingEngine engine(testEngineConfig());
+    ClusterRouter router(edgeCancelConfig(&engine));
+    ClusterRouter::Client client = router.connect();
+    Tally target;
+    server::TokenStreamPtr target_stream;
+    target.on_token = [&](int64_t index) {
+        if (index == 2)
+            target_stream->requestCancel();
+    };
+    target_stream =
+        client.submit(talliedRequest(1, "t", 0.0, 32, &target));
+    client.close();
+    router.drain();
+    EXPECT_EQ(target_stream->terminalKind(),
+              StreamEventKind::kCancelled);
+    EXPECT_EQ(target.tokens, 3);
+    EXPECT_EQ(target.terminals, 1);
+    EXPECT_EQ(router.stats().cancelled, 0);
+    EXPECT_EQ(router.stats().cancel_visits, 0);
+    EXPECT_EQ(router.replicaStats(0).cancelled, 1);
+    EXPECT_EQ(router.replicaStats(0).cancel_visits, 1);
+    router.stop(/*cancel_in_flight=*/false);
+}
+
+TEST_F(ClusterTest, PostedCancelRacingThePokeSwapIsForwardedOnce)
+{
+    // The rejection of request 2 cancels request 3 from the routing
+    // thread after both were batched at t=10 but before request 3 is
+    // placed: the cancel reads the old poke and posts to the cluster
+    // gate, then the forward's flag check hands it to the replica,
+    // and the edge finds the id already placed.
+    const ServingEngine engine(testEngineConfig());
+    ClusterRouter router(edgeCancelConfig(&engine));
+    ClusterRouter::Client client = router.connect();
+    Tally admitted, rejected, target;
+    server::TokenStreamPtr target_stream;
+    rejected.on_terminal = [&](StreamEventKind kind) {
+        if (kind == StreamEventKind::kRejected)
+            target_stream->requestCancel();
+    };
+    client.submit(talliedRequest(1, "r", 0.0, 2, &admitted));
+    client.submit(talliedRequest(2, "r", 10.0, 2, &rejected));
+    target_stream =
+        client.submit(talliedRequest(3, "t", 10.0, 4, &target));
+    client.close();
+    router.drain();
+    EXPECT_EQ(target_stream->terminalKind(),
+              StreamEventKind::kCancelled);
+    EXPECT_EQ(target.tokens, 0);
+    EXPECT_EQ(target.terminals, 1);
+    EXPECT_EQ(router.placementOf(3), 0);
+    const ClusterStats stats = router.stats();
+    EXPECT_EQ(stats.rejected, 1);
+    EXPECT_EQ(stats.cancelled, 0);
+    EXPECT_EQ(stats.cancel_visits, 1);
+    EXPECT_EQ(router.replicaStats(0).cancelled, 1);
+    EXPECT_EQ(router.replicaStats(0).cancel_visits, 1);
+    router.stop(/*cancel_in_flight=*/false);
 }
 
 } // namespace

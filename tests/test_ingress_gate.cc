@@ -118,6 +118,37 @@ TEST(VirtualIngressGate, ReplanningWaitsBounceOnIngressCommitsDoNot)
               GateOutcome::kInterrupted);
 }
 
+TEST(VirtualIngressGate, CancelsArePostedAndHandedOutWithTheInbox)
+{
+    std::shared_ptr<VirtualIngressGate> gate = makeGate();
+    VirtualIngressGate::Client a = gate->connect();
+    TokenStreamPtr first = a.submit(streamRequest(7, 10.0));
+    TokenStreamPtr second = a.submit(streamRequest(3, 10.0));
+    // Posted out of id order, one of them twice.
+    first->requestCancel();
+    second->requestCancel();
+    first->requestCancel();
+    // A cancel wakes a re-planning wait like a submission does.
+    EXPECT_EQ(gate->waitToAdvance(50.0, /*replan=*/true),
+              GateOutcome::kReplan);
+    VirtualIngressGate::Wakeup wakeup =
+        gate->awaitWork(/*busy=*/false, /*wake_on_floor=*/false);
+    ASSERT_EQ(wakeup.incoming.size(), 2u);
+    ASSERT_EQ(wakeup.cancels.size(), 3u);
+    EXPECT_EQ(wakeup.cancels[0].id, 7);
+    EXPECT_EQ(wakeup.cancels[0].stream, first);
+    sortUniqueCancels(&wakeup.cancels);
+    ASSERT_EQ(wakeup.cancels.size(), 2u);
+    EXPECT_EQ(wakeup.cancels[0].id, 3);
+    EXPECT_EQ(wakeup.cancels[0].stream, second);
+    EXPECT_EQ(wakeup.cancels[1].id, 7);
+    EXPECT_EQ(wakeup.cancels[1].stream, first);
+    // Taken once: the next wakeup carries nothing.
+    a.close();
+    gate->requestStop(/*cancel_in_flight=*/false);
+    EXPECT_TRUE(gate->awaitWork(false, false).cancels.empty());
+}
+
 // ---- The gate's contract on both front ends ----
 
 using cluster::ClusterRouter;

@@ -10,6 +10,8 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <iterator>
+#include <map>
 #include <vector>
 
 #include "comet/chaos/failpoint.h"
@@ -246,6 +248,92 @@ TEST(PrefixCacheTest, GraftFailpointForcesRecoverableMiss)
     EXPECT_EQ(cache.stats().forced_misses, 1);
     EXPECT_EQ(cache.match(0, {101}, 8, &blocks), 1); // recovered
     chaos::FailPointRegistry::global().disarmAll();
+}
+
+TEST(PrefixCacheTest, IncrementalEvictableCountMatchesTheRecount)
+{
+    // Random graft / allocate / insert / fork / release / evict /
+    // clear traffic over a small pool and a few shared prompt heads;
+    // after every operation the O(1) count must equal the walk.
+    for (uint64_t seed = 1; seed <= 20; ++seed) {
+        Rng rng(seed);
+        BlockAllocator allocator(24);
+        PrefixCache cache(&allocator, 1024);
+        KeySpace space;
+        space.block_tokens = 4;
+        std::vector<std::vector<int32_t>> heads;
+        for (uint64_t h = 0; h < 3; ++h)
+            heads.push_back(tokensFromSeed(seed * 10 + h, 12));
+        std::map<int64_t, std::vector<int64_t>> sequences;
+        int64_t next_id = 0;
+        const auto check = [&](const char *op) {
+            ASSERT_EQ(cache.evictableBlocks(),
+                      cache.recountEvictableBlocks())
+                << "seed " << seed << " after " << op;
+        };
+        for (int op = 0; op < 400; ++op) {
+            const uint64_t kind = rng.uniformInt(10);
+            if (kind < 4) {
+                // A new sequence: a shared head plus a private tail.
+                std::vector<int32_t> prompt =
+                    heads[rng.uniformInt(heads.size())];
+                const std::vector<int32_t> tail = tokensFromSeed(
+                    rng.uniformInt(1000000),
+                    static_cast<int64_t>(rng.uniformInt(9)));
+                prompt.insert(prompt.end(), tail.begin(), tail.end());
+                const std::vector<BlockKey> keys =
+                    chainBlockKeys(space, prompt);
+                std::vector<int64_t> blocks;
+                cache.match(0, keys,
+                            static_cast<int64_t>(rng.uniformInt(
+                                keys.size() + 1)),
+                            &blocks);
+                for (int64_t block : blocks)
+                    allocator.addRef(block);
+                bool ok = true;
+                while (blocks.size() < keys.size()) {
+                    Result<int64_t> block = allocator.allocate();
+                    while (!block.isOk() && cache.evictOne())
+                        block = allocator.allocate();
+                    if (!block.isOk()) {
+                        ok = false;
+                        break;
+                    }
+                    blocks.push_back(block.value());
+                }
+                if (!ok) {
+                    for (int64_t block : blocks)
+                        allocator.release(block);
+                    check("a rolled-back admission");
+                    continue;
+                }
+                cache.insert(0, keys, blocks);
+                sequences[next_id++] = blocks;
+                check("an admission");
+            } else if (kind < 5 && !sequences.empty()) {
+                const std::vector<int64_t> &parent =
+                    sequences.begin()->second;
+                for (int64_t block : parent)
+                    allocator.addRef(block);
+                sequences[next_id++] = parent;
+                check("a fork");
+            } else if (kind < 8 && !sequences.empty()) {
+                auto it = sequences.begin();
+                std::advance(it, static_cast<long>(rng.uniformInt(
+                                     sequences.size())));
+                for (int64_t block : it->second)
+                    allocator.release(block);
+                sequences.erase(it);
+                check("a release");
+            } else if (kind < 9) {
+                cache.evictOne();
+                check("an eviction");
+            } else if (rng.uniformInt(8) == 0) {
+                cache.clear();
+                check("a clear");
+            }
+        }
+    }
 }
 
 } // namespace

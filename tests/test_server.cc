@@ -6,6 +6,8 @@
  */
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <functional>
 #include <string>
 #include <thread>
 #include <vector>
@@ -53,6 +55,32 @@ streamRequest(int64_t id, double arrival_us, int64_t prompt = 64,
     request.max_output_tokens = output;
     request.eos_output_tokens = output;
     request.arrival_us = arrival_us;
+    return request;
+}
+
+/**
+ * Counts the events of a callback-mode stream and runs @p on_token at
+ * each token, on the serving loop thread: a cancel requested there lands
+ * at a deterministic point of the session. Read after drain().
+ */
+struct Tally {
+    std::atomic<int64_t> tokens{0};
+    std::atomic<int> terminals{0};
+    std::function<void(int64_t token_index)> on_token;
+};
+
+StreamRequest
+tallied(StreamRequest request, Tally *tally)
+{
+    request.callback = [tally](const StreamEvent &event) {
+        if (isTerminal(event.kind)) {
+            ++tally->terminals;
+            return;
+        }
+        ++tally->tokens;
+        if (tally->on_token)
+            tally->on_token(event.token_index);
+    };
     return request;
 }
 
@@ -499,6 +527,227 @@ TEST_F(ServerTest, DoubleCloseIsIdempotentAndLateCancelIsANoOp)
     server.stop();
     EXPECT_EQ(server.stats().completed, 1);
     EXPECT_EQ(server.stats().cancelled, 0);
+}
+
+// ---- Posted cancels in every request state ----
+//
+// Each target is cancelled from a callback on the loop thread, so the
+// cancel is posted at a known point of the virtual timeline and lands
+// at the next iteration boundary. Every target ends with exactly one
+// terminal event, and the loop examines exactly the posted ids.
+
+TEST_F(ServerTest, PostedCancelReachesARequestThatHasNotArrived)
+{
+    const ServingEngine engine(testEngineConfig());
+    Server server(&engine, oneTenantConfig());
+    Server::Client client = server.connect();
+    // Holds the clock at 0 until target_stream is set: the target's
+    // far arrival alone would release the trigger's first token.
+    Server::Client gater = server.connect();
+    Tally trigger, target;
+    TokenStreamPtr target_stream;
+    trigger.on_token = [&](int64_t index) {
+        if (index == 0)
+            target_stream->requestCancel();
+    };
+    client.submit(tallied(streamRequest(1, 0.0, 64, 4), &trigger));
+    target_stream =
+        client.submit(tallied(streamRequest(2, 1e9, 64, 4), &target));
+    client.close();
+    gater.close();
+    server.drain();
+    EXPECT_EQ(target_stream->terminalKind(),
+              StreamEventKind::kCancelled);
+    EXPECT_EQ(target.tokens, 0);
+    EXPECT_EQ(target.terminals, 1);
+    EXPECT_EQ(trigger.tokens, 4);
+    EXPECT_EQ(trigger.terminals, 1);
+    // The abandoned arrival never moved the clock.
+    EXPECT_LT(server.virtualClockUs(), 1e9);
+    const ServerStats stats = server.stats();
+    EXPECT_EQ(stats.queued, 1);
+    EXPECT_EQ(stats.cancelled, 1);
+    EXPECT_EQ(stats.completed, 1);
+    EXPECT_EQ(stats.cancel_visits, 1);
+    server.stop();
+}
+
+TEST_F(ServerTest, PostedCancelReachesAFairQueuedRequest)
+{
+    const ServingEngine engine(testEngineConfig());
+    ServerConfig config = oneTenantConfig();
+    config.max_batch = 1; // the target waits behind the trigger
+    Server server(&engine, config);
+    Server::Client client = server.connect();
+    Tally trigger, target;
+    TokenStreamPtr target_stream;
+    // By the trigger's fourth token the loop has taken the target and
+    // queued it at its arrival; the full batch keeps it there.
+    trigger.on_token = [&](int64_t index) {
+        if (index == 3)
+            target_stream->requestCancel();
+    };
+    client.submit(tallied(streamRequest(1, 0.0, 64, 8), &trigger));
+    target_stream =
+        client.submit(tallied(streamRequest(2, 0.0, 64, 8), &target));
+    client.close();
+    server.drain();
+    EXPECT_EQ(target_stream->terminalKind(),
+              StreamEventKind::kCancelled);
+    EXPECT_EQ(target.tokens, 0);
+    EXPECT_EQ(target.terminals, 1);
+    EXPECT_EQ(trigger.tokens, 8);
+    const ServerStats stats = server.stats();
+    EXPECT_EQ(stats.queued, 2);
+    EXPECT_EQ(stats.cancelled, 1);
+    EXPECT_EQ(stats.cancel_visits, 1);
+    server.stop();
+}
+
+TEST_F(ServerTest, PostedCancelStopsARunningRequestAtTheNextBoundary)
+{
+    const ServingEngine engine(testEngineConfig());
+    Server server(&engine, oneTenantConfig());
+    Server::Client client = server.connect();
+    Tally target;
+    TokenStreamPtr target_stream;
+    target.on_token = [&](int64_t index) {
+        if (index == 2)
+            target_stream->requestCancel();
+    };
+    target_stream =
+        client.submit(tallied(streamRequest(1, 0.0, 64, 32), &target));
+    client.close();
+    server.drain();
+    EXPECT_EQ(target_stream->terminalKind(),
+              StreamEventKind::kCancelled);
+    // Posted during the step that streamed token 2, handled before
+    // the next step.
+    EXPECT_EQ(target.tokens, 3);
+    EXPECT_EQ(target.terminals, 1);
+    EXPECT_EQ(server.stats().cancelled, 1);
+    EXPECT_EQ(server.stats().cancel_visits, 1);
+    server.stop();
+}
+
+TEST_F(ServerTest, PostedCancelReachesARequestPreemptedBackToTheQueue)
+{
+    // 12 blocks of 16 tokens hold both 32-token prompts, but not both
+    // requests at 96 tokens of context: the later one is preempted
+    // and cannot re-admit until the trigger retires.
+    const ServingEngine engine(testEngineConfig(12));
+    Server server(&engine, oneTenantConfig());
+    Server::Client client = server.connect();
+    Tally trigger, target;
+    TokenStreamPtr target_stream;
+    int64_t target_tokens_at_cancel = -1;
+    trigger.on_token = [&](int64_t index) {
+        if (index == 100) {
+            target_tokens_at_cancel = target.tokens;
+            target_stream->requestCancel();
+        }
+    };
+    client.submit(tallied(streamRequest(1, 0.0, 32, 128), &trigger));
+    target_stream = client.submit(
+        tallied(streamRequest(2, 0.0, 32, 128), &target));
+    client.close();
+    server.drain();
+    EXPECT_EQ(trigger.tokens, 128);
+    EXPECT_EQ(target_stream->terminalKind(),
+              StreamEventKind::kCancelled);
+    EXPECT_EQ(target.terminals, 1);
+    // Preempted mid-decode: it had streamed tokens, and none came
+    // after the preemption.
+    EXPECT_GT(target.tokens, 0);
+    EXPECT_LT(target.tokens, 128);
+    EXPECT_EQ(target.tokens, target_tokens_at_cancel);
+    const ServerStats stats = server.stats();
+    EXPECT_EQ(stats.preemptions, 1);
+    EXPECT_EQ(stats.cancelled, 1);
+    EXPECT_EQ(stats.completed, 1);
+    EXPECT_EQ(stats.cancel_visits, 1);
+    server.stop();
+}
+
+TEST_F(ServerTest, PostedCancelOfAFinishedRequestIsCountedAndMoot)
+{
+    const ServingEngine engine(testEngineConfig());
+    Server server(&engine, oneTenantConfig());
+    Server::Client client = server.connect();
+    Tally trigger, target;
+    TokenStreamPtr target_stream;
+    trigger.on_token = [&](int64_t index) {
+        if (index == 6)
+            target_stream->requestCancel();
+    };
+    client.submit(tallied(streamRequest(1, 0.0, 64, 8), &trigger));
+    target_stream =
+        client.submit(tallied(streamRequest(2, 0.0, 64, 2), &target));
+    client.close();
+    server.drain();
+    EXPECT_EQ(target_stream->terminalKind(),
+              StreamEventKind::kFinished);
+    EXPECT_EQ(target.tokens, 2);
+    EXPECT_EQ(target.terminals, 1);
+    const ServerStats stats = server.stats();
+    EXPECT_EQ(stats.completed, 2);
+    EXPECT_EQ(stats.cancelled, 0);
+    EXPECT_EQ(stats.cancel_visits, 1);
+    server.stop();
+}
+
+TEST_F(ServerTest, CancellingTwiceEndsTheStreamOnce)
+{
+    const ServingEngine engine(testEngineConfig());
+    Server server(&engine, oneTenantConfig());
+    Server::Client client = server.connect();
+    Server::Client gater = server.connect(); // see the test above
+    Tally trigger, target;
+    TokenStreamPtr target_stream;
+    trigger.on_token = [&](int64_t index) {
+        if (index == 0) {
+            // Both posts land in one batch and fold into one visit.
+            target_stream->requestCancel();
+            target_stream->requestCancel();
+        }
+    };
+    client.submit(tallied(streamRequest(1, 0.0, 64, 4), &trigger));
+    target_stream =
+        client.submit(tallied(streamRequest(2, 1e9, 64, 4), &target));
+    client.close();
+    gater.close();
+    server.drain();
+    EXPECT_EQ(target_stream->terminalKind(),
+              StreamEventKind::kCancelled);
+    EXPECT_EQ(target.terminals, 1);
+    EXPECT_EQ(server.stats().cancelled, 1);
+    EXPECT_EQ(server.stats().cancel_visits, 1);
+    server.stop();
+}
+
+TEST_F(ServerTest, NoCancelsMeansNoCancelVisitsHoweverManyRequests)
+{
+    // Ten thousand arrivals spread over the session: a loop that
+    // scanned its streams for cancels every iteration would visit on
+    // the order of 10^7 of them; a loop driven by posted cancels
+    // visits none.
+    const ServingEngine engine(testEngineConfig());
+    Server server(&engine, oneTenantConfig());
+    Server::Client client = server.connect();
+    constexpr int64_t kRequests = 10000;
+    for (int64_t i = 0; i < kRequests; ++i) {
+        client.submit(streamRequest(i, 100.0 * static_cast<double>(i),
+                                    16, 1));
+    }
+    client.close();
+    server.drain();
+    const ServerStats stats = server.stats();
+    EXPECT_EQ(stats.completed, kRequests);
+    EXPECT_EQ(stats.cancel_visits, 0);
+    EXPECT_EQ(obs::MetricsRegistry::global().counterValue(
+                  "server.cancel_visits"),
+              0);
+    server.stop();
 }
 
 } // namespace
